@@ -112,7 +112,6 @@ from repro.explore import (
 )
 from repro.engine import (
     CostEngine,
-    EngineOverrides,
     PortfolioEngine,
     cached_die_cost,
     default_engine,
@@ -233,7 +232,6 @@ __all__ = [
     "moore_limit_proximity",
     # engine
     "CostEngine",
-    "EngineOverrides",
     "PortfolioEngine",
     "cached_die_cost",
     "default_engine",

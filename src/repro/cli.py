@@ -262,40 +262,29 @@ def _cmd_payback(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
-    from repro.engine import CostEngine, default_engine
+    from repro.engine import default_engine
     from repro.reporting.series import FigureData, Series
 
     die_cost_fn = _die_cost_override(args, "sweep")
-    # A die-cost override is a bound closure: it cannot cross a process
-    # boundary, so pooled runs default to the thread backend when one
-    # is active (an explicit --backend process still errors, named).
-    backend = args.backend or ("thread" if die_cost_fn else "process")
-    if args.workers is not None:
-        # Own the pooled engine so its workers are released on exit.
-        context = CostEngine(workers=args.workers, backend=backend)
-    else:
-        context = nullcontext(default_engine())
+    engine = default_engine()
     node = get_node(args.node)
     areas = list(range(int(args.start), int(args.stop) + 1, int(args.step)))
     columns: dict[str, list[float]] = {}
-    with context as engine:
-        soc_sweep = engine.sweep(
-            "SoC", areas, lambda area: soc_reference(area, node),
+    soc_sweep = engine.sweep(
+        "SoC", areas, lambda area: soc_reference(area, node),
+        die_cost_fn=die_cost_fn,
+    )
+    columns["SoC"] = [cost.total for cost in soc_sweep.values()]
+    for label, tech in multichip_integrations().items():
+        scheme_sweep = engine.sweep(
+            label,
+            areas,
+            lambda area, tech=tech: partition_monolith(
+                area, node, args.chiplets, tech, d2d_fraction=args.d2d
+            ),
             die_cost_fn=die_cost_fn,
         )
-        columns["SoC"] = [cost.total for cost in soc_sweep.values()]
-        for label, tech in multichip_integrations().items():
-            scheme_sweep = engine.sweep(
-                label,
-                areas,
-                lambda area, tech=tech: partition_monolith(
-                    area, node, args.chiplets, tech, d2d_fraction=args.d2d
-                ),
-                die_cost_fn=die_cost_fn,
-            )
-            columns[label] = [cost.total for cost in scheme_sweep.values()]
+        columns[label] = [cost.total for cost in scheme_sweep.values()]
     figure = FigureData(
         title=f"RE cost vs area @ {node.name}",
         x_label="area_mm2",
@@ -656,15 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--step", type=float, default=100)
     sweep.add_argument("--csv", action="store_true",
                        help="emit CSV instead of a table")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="evaluate sweep points on a worker pool; the "
-                       "built-in evaluation is usually faster serially, so "
-                       "leave unset unless a sweep is genuinely heavy")
-    sweep.add_argument("--backend", choices=["process", "thread"],
-                       default=None,
-                       help="pool kind for --workers (default: process, "
-                       "or thread when --yield-model/--wafer-geometry "
-                       "is given)")
     _add_yield_arguments(sweep)
 
     montecarlo = sub.add_parser(
@@ -689,11 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     montecarlo.add_argument(
         "--precision",
-        choices=["exact", "fast", "fast32"],
+        choices=["exact", "fast"],
         default="exact",
         help="evaluation tier for the closed-form path: exact "
-        "(bit-parity, default), fast (reassociated float64) or fast32 "
-        "(float32 batches); see PERFORMANCE.md",
+        "(bit-parity, default) or fast (reassociated float64); see "
+        "PERFORMANCE.md",
     )
     _add_yield_arguments(montecarlo)
 
@@ -740,11 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--precision",
-        choices=["exact", "fast", "fast32"],
+        choices=["exact", "fast"],
         default="exact",
-        help="evaluation tier: exact (bit-parity, default), fast "
-        "(reassociated float64) or fast32 (float32 batches); see "
-        "PERFORMANCE.md",
+        help="evaluation tier: exact (bit-parity, default) or fast "
+        "(reassociated float64); see PERFORMANCE.md",
     )
     _add_yield_arguments(search)
 

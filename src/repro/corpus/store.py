@@ -28,9 +28,9 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.canon import stable_json
 from repro.errors import StoreCorruptionError
 from repro.ioutil import atomic_write_text, sweep_temp_files
-from repro.reuse.keys import stable_json
 
 from repro.corpus.hashing import sha256_hex
 

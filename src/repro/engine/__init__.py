@@ -2,14 +2,13 @@
 
 Three layers, documented in PERFORMANCE.md:
 
-* ``repro.engine.diecache`` — memoized die costs keyed on the hashable
-  (area, node incl. defect density, wafer geometry, yield model) tuple
-  (implementation in ``repro.wafer.diecache``, beside the cost it
-  memoizes, so core never imports upward from the engine);
+* memoized die costs keyed on the hashable (area, node incl. defect
+  density, wafer geometry, yield model) tuple — re-exported from
+  ``repro.wafer.diecache``, which lives beside the cost it memoizes so
+  core never imports upward from the engine;
 * ``repro.engine.costengine`` — :class:`CostEngine` batch API
-  (``evaluate_many`` / ``sweep`` / ``grid``) with optional
-  ``concurrent.futures`` pools, which ``repro.explore`` and the CLI
-  route through;
+  (``evaluate_many`` / ``sweep`` / ``grid``), which ``repro.explore``
+  and the CLI route through;
 * ``repro.engine.rng`` — vectorized ``random.Random.gauss`` /
   defect-prior streams via exact MT19937 state transplant,
   bit-identical to the per-call oracle;
@@ -27,16 +26,14 @@ layers into their import graph.
 from __future__ import annotations
 
 _EXPORTS = {
-    "cached_die_cost": "repro.engine.diecache",
-    "clear_die_cost_cache": "repro.engine.diecache",
-    "die_cost_cache_info": "repro.engine.diecache",
-    "no_cache": "repro.engine.diecache",
-    "DIE_COST_CACHE_MAXSIZE": "repro.engine.diecache",
+    "cached_die_cost": "repro.wafer.diecache",
+    "clear_die_cost_cache": "repro.wafer.diecache",
+    "die_cost_cache_info": "repro.wafer.diecache",
+    "no_cache": "repro.wafer.diecache",
+    "DIE_COST_CACHE_MAXSIZE": "repro.wafer.diecache",
     "PackagingAffine": "repro.engine.packaging_affine",
     "linearize_packaging": "repro.engine.packaging_affine",
     "CostEngine": "repro.engine.costengine",
-    "EngineOverrides": "repro.engine.overrides",
-    "NO_OVERRIDES": "repro.engine.overrides",
     "GridPoint": "repro.engine.costengine",
     "GridResult": "repro.engine.costengine",
     "default_engine": "repro.engine.costengine",

@@ -5,11 +5,9 @@ portfolio reports) all reduce to "price many :class:`~repro.core.system.
 System` objects".  The engine gives that loop one home:
 
 * per-system evaluation reuses the memoized die-cost layer
-  (``repro.engine.diecache``) and a per-(package, areas) affine
+  (``repro.wafer.diecache``) and a per-(package, areas) affine
   packaging decomposition (``repro.engine.packaging_affine``), so a
   100-point sweep prices each distinct die and package once;
-* :meth:`CostEngine.evaluate_many` optionally fans evaluations out to a
-  ``concurrent.futures`` thread or process pool;
 * :meth:`CostEngine.sweep` / :meth:`CostEngine.grid` are the batch
   front-ends that ``repro.explore`` and the CLI route through.
 
@@ -21,7 +19,6 @@ its accumulation order exactly — which the parity tests in
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Generic, Sequence, TypeVar
@@ -31,7 +28,6 @@ from repro.core.re_cost import compute_re_cost
 from repro.core.system import System
 from repro.core.total import compute_total_cost
 from repro.wafer.diecache import cached_die_cost
-from repro.engine.overrides import EngineOverrides, coalesce
 from repro.engine.packaging_affine import PackagingAffine, linearize_packaging
 from repro.errors import InvalidParameterError
 from repro.explore.sweep import Sweep, SweepPoint
@@ -47,21 +43,6 @@ _AFFINE_CACHE_MAXSIZE = 4096
 
 #: Identity-keyed die-cost entries kept per engine before a full reset.
 _DIE_HOT_CACHE_MAXSIZE = 65536
-
-_BACKENDS = ("thread", "process")
-
-
-def _pool_call(payload: tuple[Callable[[System], Any] | None, System]) -> Any:
-    """Worker applied in process pools (module-level: picklable).
-
-    A worker process cannot see the calling engine, so the default
-    evaluation runs on the worker's own process-wide engine (each
-    worker warms its own cache).
-    """
-    evaluator, system = payload
-    if evaluator is None:
-        return default_engine().evaluate_re(system)
-    return evaluator(system)
 
 
 @dataclass(frozen=True)
@@ -110,49 +91,12 @@ class GridResult(Generic[R, C, Y]):
 class CostEngine:
     """Batched cost evaluation with shared memoization.
 
-    Args:
-        workers: Default pool size for batch calls; ``None`` evaluates
-            serially (the right default for this CPU-light model — the
-            knob exists for heavy custom evaluators).
-        backend: ``"thread"`` (shared caches, GIL-bound) or
-            ``"process"`` (true parallelism; systems and evaluators must
-            be picklable and each worker warms its own cache).
-        persistent_pools: Keep one executor alive across batch calls
-            (warm workers for multi-sweep workloads; release with
-            :meth:`close` or ``with``).  When false, each pooled call
-            creates and tears down its own executor — the right setting
-            for the long-lived shared :func:`default_engine`, which no
-            caller owns.
-        precision: ``"exact"`` (default — every path bit-identical to
-            the naive oracles), ``"fast"`` or ``"fast32"`` (the
-            relaxed-parity tier of ``repro.engine.fasttier``: SIMD
-            transcendentals and reassociated reductions on the batch
-            hot paths, bounded relative error instead of bit equality;
-            degrades gracefully to the exact scalar paths when numpy
-            is absent).  Currently consumed by :meth:`monte_carlo`;
-            the single-system and closed-form partition paths always
-            evaluate exactly.
+    Every entry point evaluates serially on this engine's caches; the
+    model prices one system in about a tenth of a millisecond, so
+    thread or process fan-out only adds overhead (PERFORMANCE.md).
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        backend: str = "thread",
-        persistent_pools: bool = True,
-        precision: str = "exact",
-    ):
-        from repro.engine.fasttier import validate_precision
-
-        if workers is not None and workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        if backend not in _BACKENDS:
-            raise InvalidParameterError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        self.workers = workers
-        self.backend = backend
-        self.persistent_pools = persistent_pools
-        self.precision = validate_precision(precision)
+    def __init__(self):
         # Identity-keyed hot caches.  Keys use id(...) to avoid hashing
         # multi-field dataclasses on every lookup; each value keeps a
         # strong reference to the keyed object, so a key can never be
@@ -161,9 +105,6 @@ class CostEngine:
         self._die_cache: dict[tuple[int, float], tuple] = {}
         # key -> [packager, PackagingAffine | None, linearized?]
         self._affine_cache: dict[tuple, list] = {}
-        # backend kind -> (pool size, executor); pools persist across
-        # batch calls so multi-sweep workloads reuse warm workers.
-        self._pools: dict[str, tuple[int, concurrent.futures.Executor]] = {}
 
     # ------------------------------------------------------------------
     # single-system evaluation
@@ -171,7 +112,7 @@ class CostEngine:
 
     def _die_cost_for(self, node, area: float) -> "object":
         """Die cost via the identity-keyed hot cache, backed by the
-        shared value-keyed cache of ``repro.engine.diecache``."""
+        shared value-keyed cache of ``repro.wafer.diecache``."""
         key = (id(node), area)
         entry = self._die_cache.get(key)
         if entry is not None and entry[0] is node:
@@ -212,7 +153,6 @@ class CostEngine:
         self,
         system: System,
         die_cost_fn: Callable | None = None,
-        overrides: EngineOverrides | None = None,
     ) -> RECost:
         """Per-unit RE cost; numerically identical to
         :func:`repro.core.re_cost.compute_re_cost`.
@@ -230,16 +170,7 @@ class CostEngine:
                 reach every evaluation path.  The affine packaging
                 decomposition still applies (it is a function of the
                 packager and chip areas only, not of die prices).
-            overrides: The consolidated form of the same plumbing — a
-                :class:`~repro.engine.overrides.EngineOverrides` whose
-                ``die_cost_fn`` or ``yield_model`` / ``wafer_geometry``
-                names select the die pricing (mutually exclusive with
-                the legacy kwarg).
         """
-        if overrides is not None:
-            die_cost_fn = coalesce(
-                overrides, die_cost_fn=die_cost_fn
-            ).resolve_die_cost_fn(context="evaluate_re")
         affine = self._packaging_affine(system)
         return compute_re_cost(
             system,
@@ -252,16 +183,11 @@ class CostEngine:
         system: System,
         quantity: float | None = None,
         die_cost_fn: Callable | None = None,
-        overrides: EngineOverrides | None = None,
     ) -> TotalCost:
         """Per-unit total (RE + amortized NRE), delegating to
         :func:`repro.core.total.compute_total_cost` with the engine's
-        cached RE evaluation (optionally under a die-cost override,
-        spelled either way — see :meth:`evaluate_re`)."""
-        if overrides is not None:
-            die_cost_fn = coalesce(
-                overrides, die_cost_fn=die_cost_fn
-            ).resolve_die_cost_fn(context="evaluate_total")
+        cached RE evaluation (optionally under a die-cost override, see
+        :meth:`evaluate_re`)."""
         return compute_total_cost(
             system,
             quantity=quantity,
@@ -275,8 +201,7 @@ class CostEngine:
         sigma: float = 0.15,
         seed: int = 0,
         die_cost_fn: Callable | None = None,
-        precision: str | None = None,
-        overrides: EngineOverrides | None = None,
+        precision: str = "exact",
     ) -> list[float]:
         """Closed-form Monte-Carlo RE samples under defect uncertainty.
 
@@ -287,25 +212,21 @@ class CostEngine:
         object-rebuilding oracle
         (:func:`repro.explore.montecarlo.monte_carlo_cost_naive`).
         ``die_cost_fn`` carries registry-named yield-model /
-        wafer-geometry overrides into every draw.  ``precision``
-        overrides the engine's precision tier for this call (``None``:
-        the engine default).  ``overrides`` is the consolidated
-        spelling of both.  Distribution statistics and method
+        wafer-geometry overrides into every draw; ``precision`` selects
+        the evaluation tier (``"exact"`` | ``"fast"``, PERFORMANCE.md
+        "Precision tiers").  Distribution statistics and method
         selection live one layer up in
         :func:`repro.explore.montecarlo.monte_carlo_cost`.
         """
         from repro.engine.fastmc import sample_re_costs
 
-        resolved = coalesce(
-            overrides, die_cost_fn=die_cost_fn, precision=precision
-        )
         return sample_re_costs(
             system,
             draws=draws,
             sigma=sigma,
             seed=seed,
-            die_cost_fn=resolved.resolve_die_cost_fn(context="monte_carlo"),
-            precision=resolved.resolve_precision(self.precision),
+            die_cost_fn=die_cost_fn,
+            precision=precision,
         )
 
     # ------------------------------------------------------------------
@@ -316,116 +237,30 @@ class CostEngine:
         self,
         systems: Sequence[System],
         evaluator: Callable[[System], Any] | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
         die_cost_fn: Callable | None = None,
-        overrides: EngineOverrides | None = None,
     ) -> list:
-        """Evaluate every system; ``evaluator`` defaults to
+        """Evaluate every system in order; ``evaluator`` defaults to
         :meth:`evaluate_re`.
 
         Args:
             systems: Systems to price.
-            evaluator: Optional metric; must be picklable for the
-                process backend.
-            workers: Pool size override (``None``: the engine default).
-            backend: Pool kind override (``None``: the engine default).
+            evaluator: Optional metric applied to each system.
             die_cost_fn: Optional die-pricing override applied to the
                 default RE evaluator (mutually exclusive with
-                ``evaluator``; serial/thread execution only — the bound
-                closure does not cross a process boundary).
-            overrides: Consolidated override value (mutually exclusive
-                with the legacy ``die_cost_fn`` kwarg).
-
-        Process-backend caveat: with ``evaluator=None`` each worker
-        process evaluates on its own process-wide default engine — a
-        subclassed ``evaluate_re`` or this engine's warmed caches are
-        *not* shipped across the process boundary (they are with the
-        thread backend).  Pass a picklable evaluator to control what
-        runs in the workers.
+                ``evaluator``).
         """
-        if overrides is not None:
-            die_cost_fn = coalesce(
-                overrides, die_cost_fn=die_cost_fn
-            ).resolve_die_cost_fn(context="evaluate_many")
-        pool = self.workers if workers is None else workers
-        kind = self.backend if backend is None else backend
-        if kind not in _BACKENDS:
-            raise InvalidParameterError(
-                f"backend must be one of {_BACKENDS}, got {kind!r}"
-            )
-        if pool is not None and pool < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {pool}")
         if die_cost_fn is not None:
             if evaluator is not None:
                 raise InvalidParameterError(
                     "pass either evaluator or die_cost_fn, not both"
                 )
-            if kind == "process" and pool is not None and pool > 1 and len(systems) > 1:
-                raise InvalidParameterError(
-                    "die_cost_fn overrides are not picklable; use the "
-                    "thread backend or serial evaluation"
-                )
-            evaluator = lambda system: self.evaluate_re(  # noqa: E731
-                system, die_cost_fn=die_cost_fn
-            )
-
-        if pool is None or pool == 1 or len(systems) <= 1:
-            if evaluator is None:
-                return [self.evaluate_re(system) for system in systems]
-            return [evaluator(system) for system in systems]
-
-        if kind == "thread":
-            # Threads share this process: evaluate on *this* engine so
-            # its hot caches (and any subclass override) stay in play.
-            fn = evaluator if evaluator is not None else self.evaluate_re
-            if self.persistent_pools:
-                return list(self._executor(kind, pool).map(fn, systems))
-            with concurrent.futures.ThreadPoolExecutor(max_workers=pool) as executor:
-                return list(executor.map(fn, systems))
-
-        payloads = [(evaluator, system) for system in systems]
-        chunk = max(1, len(payloads) // (pool * 4))
-        if self.persistent_pools:
-            return list(
-                self._executor(kind, pool).map(_pool_call, payloads, chunksize=chunk)
-            )
-        with concurrent.futures.ProcessPoolExecutor(max_workers=pool) as executor:
-            return list(executor.map(_pool_call, payloads, chunksize=chunk))
-
-    def _executor(self, kind: str, pool: int) -> concurrent.futures.Executor:
-        """The engine's persistent pool for ``kind``, resized on demand.
-
-        Reusing one executor across batch calls keeps worker processes
-        (and their per-process caches) warm across sweeps; pools are
-        released by :meth:`close`, ``with CostEngine(...) as engine:``
-        or interpreter exit.
-        """
-        entry = self._pools.get(kind)
-        if entry is not None and entry[0] == pool:
-            return entry[1]
-        if entry is not None:
-            entry[1].shutdown(wait=False)
-        executor_cls = (
-            concurrent.futures.ThreadPoolExecutor
-            if kind == "thread"
-            else concurrent.futures.ProcessPoolExecutor
-        )
-        executor = executor_cls(max_workers=pool)
-        self._pools[kind] = (pool, executor)
-        return executor
-
-    def close(self) -> None:
-        """Shut down any worker pools this engine created."""
-        for _, executor in self._pools.values():
-            executor.shutdown(wait=True)
-        self._pools.clear()
-
-    def __enter__(self) -> "CostEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            return [
+                self.evaluate_re(system, die_cost_fn=die_cost_fn)
+                for system in systems
+            ]
+        if evaluator is None:
+            return [self.evaluate_re(system) for system in systems]
+        return [evaluator(system) for system in systems]
 
     def sweep(
         self,
@@ -433,20 +268,14 @@ class CostEngine:
         values: Sequence[X],
         builder: Callable[[X], System],
         evaluator: Callable[[System], Y] | None = None,
-        workers: int | None = None,
         die_cost_fn: Callable | None = None,
-        overrides: EngineOverrides | None = None,
     ) -> Sweep:
         """Batched form of :func:`repro.explore.sweep.run_sweep`."""
-        if overrides is not None:
-            die_cost_fn = coalesce(
-                overrides, die_cost_fn=die_cost_fn
-            ).resolve_die_cost_fn(context="sweep")
         if not values:
             raise InvalidParameterError("sweep needs at least one value")
         systems = [builder(value) for value in values]
         results = self.evaluate_many(
-            systems, evaluator=evaluator, workers=workers, die_cost_fn=die_cost_fn
+            systems, evaluator=evaluator, die_cost_fn=die_cost_fn
         )
         points = tuple(
             SweepPoint(x=value, value=result)
@@ -461,21 +290,15 @@ class CostEngine:
         cols: Sequence[C],
         builder: Callable[[R, C], System],
         evaluator: Callable[[System], Y] | None = None,
-        workers: int | None = None,
         die_cost_fn: Callable | None = None,
-        overrides: EngineOverrides | None = None,
     ) -> GridResult:
         """Evaluate the full ``rows x cols`` cartesian product."""
-        if overrides is not None:
-            die_cost_fn = coalesce(
-                overrides, die_cost_fn=die_cost_fn
-            ).resolve_die_cost_fn(context="grid")
         if not rows or not cols:
             raise InvalidParameterError("grid needs at least one row and column")
         cells = [(row, col) for row in rows for col in cols]
         systems = [builder(row, col) for row, col in cells]
         results = self.evaluate_many(
-            systems, evaluator=evaluator, workers=workers, die_cost_fn=die_cost_fn
+            systems, evaluator=evaluator, die_cost_fn=die_cost_fn
         )
         points = tuple(
             GridPoint(row=row, col=col, value=result)
@@ -497,21 +320,15 @@ class CostEngine:
         d2d_fraction: "float | object" = 0.10,
         soc_for_one: bool = True,
         die_cost_fn=None,
-        overrides: EngineOverrides | None = None,
     ) -> Sweep:
         """RE cost across partition granularities without building
         systems (``repro.engine.fastsweep``); count 1 prices the
         monolithic SoC reference unless ``soc_for_one`` is false.
-        ``die_cost_fn`` (or ``overrides``) optionally replaces the
-        engine's die pricing (custom yield models / wafer
+        ``die_cost_fn`` optionally replaces the engine's die pricing (custom yield models / wafer
         geometries)."""
         from repro.d2d.overhead import FractionOverhead
         from repro.engine.fastsweep import partition_re_cost, soc_re_cost
 
-        if overrides is not None:
-            die_cost_fn = coalesce(
-                overrides, die_cost_fn=die_cost_fn
-            ).resolve_die_cost_fn(context="partition_sweep")
         if not chiplet_counts:
             raise InvalidParameterError("sweep needs at least one value")
         if not isinstance(d2d_fraction, FractionOverhead):
@@ -547,16 +364,11 @@ class CostEngine:
         d2d_fraction: "float | object" = 0.10,
         soc_for_one: bool = False,
         die_cost_fn=None,
-        overrides: EngineOverrides | None = None,
     ) -> GridResult:
         """Closed-form areas x counts partition grid of RE costs."""
         from repro.d2d.overhead import FractionOverhead
         from repro.engine.fastsweep import partition_re_cost, soc_re_cost
 
-        if overrides is not None:
-            die_cost_fn = coalesce(
-                overrides, die_cost_fn=die_cost_fn
-            ).resolve_die_cost_fn(context="partition_grid")
         if not module_areas or not chiplet_counts:
             raise InvalidParameterError("grid needs at least one row and column")
         if not isinstance(d2d_fraction, FractionOverhead):
@@ -620,14 +432,8 @@ _default_engine: CostEngine | None = None
 
 
 def default_engine() -> CostEngine:
-    """The process-wide engine used when callers do not supply one.
-
-    Created with ``persistent_pools=False``: nothing owns this engine's
-    lifetime, so a one-off ``run_sweep(..., workers=N)`` must not leave
-    idle workers behind.  Construct your own :class:`CostEngine` (and
-    ``close()`` it) to keep warm pools across batches.
-    """
+    """The process-wide engine used when callers do not supply one."""
     global _default_engine
     if _default_engine is None:
-        _default_engine = CostEngine(persistent_pools=False)
+        _default_engine = CostEngine()
     return _default_engine

@@ -209,11 +209,10 @@ class MonteCarloPlan:
         like the scalar path (numpy's SIMD ``power`` can differ in the
         last ulp).
 
-        ``precision="fast"`` / ``"fast32"`` trades that bit parity for
-        throughput: the yield ``pow`` runs through numpy's SIMD
-        ``power`` (optionally in float32) via ``repro.engine.fasttier``,
-        with relative error bounded by the fast-tier contract
-        (PERFORMANCE.md, "Precision tiers").
+        ``precision="fast"`` trades that bit parity for throughput:
+        the yield ``pow`` runs through numpy's SIMD ``power`` via
+        ``repro.engine.fasttier``, with relative error bounded by the
+        fast-tier contract (PERFORMANCE.md, "Precision tiers").
         """
         fasttier.validate_precision(precision)
         if _np is None:
@@ -258,11 +257,9 @@ class MonteCarloPlan:
                 base = 1.0 + defects / term.cluster_param
                 exponent = -term.cluster_param
                 if precision != "exact":
-                    # Fast tier: SIMD power (optionally float32) with
-                    # bounded relative error instead of bit parity.
-                    die_yield = fasttier.power_column(
-                        base, exponent, precision
-                    )
+                    # Fast tier: SIMD power with bounded relative
+                    # error instead of bit parity.
+                    die_yield = fasttier.power_column(base, exponent)
                 else:
                     # libm pow per element: bit-identical to the
                     # scalar `**`.
@@ -302,7 +299,7 @@ def sample_re_costs(
     (:meth:`repro.config.ConfigRegistries.die_cost_fn`) into every
     draw's die pricing.
 
-    ``precision="fast"`` / ``"fast32"`` opts the batch evaluator into
+    ``precision="fast"`` opts the batch evaluator into
     the relaxed-parity fast tier (``repro.engine.fasttier``): same
     draws, SIMD yield transcendentals, bounded relative error instead
     of bit equality.  Without numpy (or on the scalar fallback paths)

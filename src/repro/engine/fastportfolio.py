@@ -59,7 +59,6 @@ from repro.core.breakdown import NRECost, RECost, TotalCost
 from repro.core.system import System
 from repro.engine import fasttier
 from repro.engine.costengine import CostEngine, default_engine
-from repro.engine.overrides import EngineOverrides, coalesce  # noqa: F401
 from repro.errors import InvalidParameterError
 from repro.explore.sweep import Sweep, SweepPoint
 from repro.reuse.keys import package_design_key
@@ -232,8 +231,7 @@ class _CategoryMatrices:
         """
         if precision != "exact":
             return fasttier.share_sums(
-                self.nre, self.quantities, self.indices, scales_column,
-                precision,
+                self.nre, self.quantities, self.indices, scales_column
             )
         n_scales = scales_column.shape[0]
         denominators = _np.zeros((n_scales, len(self.nre)))
@@ -534,19 +532,10 @@ class PortfolioEngine:
     Args:
         engine: The :class:`CostEngine` RE evaluations route through
             (default: the process-wide engine, sharing its warm caches).
-        precision: Default evaluation tier for volume solves/sweeps
-            (``"exact"`` | ``"fast"`` | ``"fast32"``) — see
-            PERFORMANCE.md "Precision tiers".  Per-call ``precision``
-            arguments override it.
     """
 
-    def __init__(
-        self,
-        engine: CostEngine | None = None,
-        precision: str = "exact",
-    ):
+    def __init__(self, engine: CostEngine | None = None):
         self.engine = engine if engine is not None else default_engine()
-        self.precision = fasttier.validate_precision(precision)
         # Identity-keyed (with `is`-verified entries, like the engine's
         # hot caches): portfolios are eq-by-identity objects, and a
         # die-cost override changes every RE price, so it is part of
@@ -562,18 +551,12 @@ class PortfolioEngine:
         self,
         portfolio: Portfolio,
         die_cost_fn: "Callable | None" = None,
-        overrides: "EngineOverrides | None" = None,
     ) -> PortfolioDecomposition:
         """The (cached) decomposition of ``portfolio``.
 
-        ``die_cost_fn`` (or an ``overrides`` value carrying one, or
-        registry names) optionally replaces the engine's die pricing;
+        ``die_cost_fn`` optionally replaces the engine's die pricing;
         decompositions are cached per (portfolio, override) pair.
         """
-        if overrides is not None:
-            die_cost_fn = coalesce(
-                overrides, die_cost_fn=die_cost_fn
-            ).resolve_die_cost_fn(context="decompose")
         key = (id(portfolio), id(die_cost_fn))
         entry = self._decompositions.get(key)
         if entry is not None and entry[0] is portfolio and entry[1] is die_cost_fn:
@@ -591,12 +574,9 @@ class PortfolioEngine:
         portfolio: Portfolio,
         volume_scale: float = 1.0,
         die_cost_fn: "Callable | None" = None,
-        overrides: "EngineOverrides | None" = None,
     ) -> PortfolioCosts:
         """Price every member of ``portfolio`` in one batched call."""
-        return self.decompose(
-            portfolio, die_cost_fn, overrides=overrides
-        ).evaluate(volume_scale)
+        return self.decompose(portfolio, die_cost_fn).evaluate(volume_scale)
 
     def amortized_cost(self, portfolio: Portfolio, system: System) -> TotalCost:
         """Drop-in for :meth:`Portfolio.amortized_cost` (bit-identical)."""
@@ -618,25 +598,18 @@ class PortfolioEngine:
         portfolio: Portfolio,
         scales: Sequence[float],
         die_cost_fn: "Callable | None" = None,
-        precision: "str | None" = None,
-        overrides: "EngineOverrides | None" = None,
+        precision: str = "exact",
     ) -> PortfolioVolumeSolve:
         """Vectorized closed-form volume sweep, as dense arrays.
 
         The thousand-system front-end: one decomposition, one numpy
         solve over design x system matrices, zero cost-object
         construction.  See :class:`PortfolioVolumeSolve`.
-        ``precision`` overrides the engine default for this call;
-        ``overrides`` is the consolidated spelling of both knobs.
+        ``precision`` selects the evaluation tier (``"exact"`` |
+        ``"fast"``, PERFORMANCE.md "Precision tiers").
         """
-        resolved = coalesce(
-            overrides, die_cost_fn=die_cost_fn, precision=precision
-        )
-        return self.decompose(
-            portfolio, resolved.resolve_die_cost_fn(context="volume_solve")
-        ).solve(
-            scales,
-            precision=resolved.resolve_precision(self.precision),
+        return self.decompose(portfolio, die_cost_fn).solve(
+            scales, precision=precision
         )
 
     def volume_sweep(
@@ -645,8 +618,7 @@ class PortfolioEngine:
         portfolio: Portfolio,
         scales: Sequence[float],
         die_cost_fn: "Callable | None" = None,
-        precision: "str | None" = None,
-        overrides: "EngineOverrides | None" = None,
+        precision: str = "exact",
     ) -> Sweep:
         """Closed-form sweep over volume scales.
 
@@ -659,8 +631,7 @@ class PortfolioEngine:
         if not scales:
             raise InvalidParameterError("sweep needs at least one value")
         solve = self.volume_solve(
-            portfolio, scales, die_cost_fn, precision=precision,
-            overrides=overrides,
+            portfolio, scales, die_cost_fn, precision=precision
         )
         points = tuple(
             SweepPoint(x=scale, value=solve.costs(index))

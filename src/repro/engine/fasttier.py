@@ -4,8 +4,8 @@ Every other module under ``repro/engine/`` and ``repro/search/`` lives
 under the bit-parity contract (PERFORMANCE.md): transcendentals pinned
 to libm, strictly sequential folds, no reassociation — enforced by the
 ``parity-determinism`` contract rule.  That contract caps the next
-order of magnitude: SIMD ``power``, pairwise-summed reductions and
-float32 column batches all reorder or round the float work.
+order of magnitude: SIMD ``power`` and pairwise-summed reductions
+both reorder or round the float work.
 
 This module is the one place those kernels are allowed to live.  The
 module-level ``PRECISION = "fast"`` marker below is read by the
@@ -18,15 +18,13 @@ enforced on arbitrary generated inputs by the Hypothesis properties in
 ``tests/property/test_fast_tier.py`` and documented in PERFORMANCE.md
 ("Precision tiers").
 
-Callers thread a ``precision`` argument (``"exact"`` | ``"fast"`` |
-``"fast32"``) down to these kernels:
+Callers thread a ``precision`` argument (``"exact"`` | ``"fast"``)
+down to these kernels:
 
-* ``"exact"``  — the default everywhere; bit-parity paths, these
+* ``"exact"`` — the default everywhere; bit-parity paths, these
   kernels are never called;
-* ``"fast"``   — float64 columns with reassociated numpy reductions
-  and SIMD transcendentals (typically agrees to ~1e-12 relative);
-* ``"fast32"`` — additionally batches columns in float32 (~1e-4
-  relative), halving memory traffic on very large sweeps.
+* ``"fast"``  — float64 columns with reassociated numpy reductions
+  and SIMD transcendentals (typically agrees to ~1e-12 relative).
 
 Without numpy the fast tier has nothing to accelerate, so callers
 degrade gracefully to the exact scalar path instead of erroring — the
@@ -49,7 +47,7 @@ from repro.errors import InvalidParameterError
 PRECISION = "fast"
 
 #: Every accepted value of a ``precision`` parameter.
-PRECISIONS = ("exact", "fast", "fast32")
+PRECISIONS = ("exact", "fast")
 
 
 def validate_precision(precision: str) -> str:
@@ -61,27 +59,14 @@ def validate_precision(precision: str) -> str:
     return precision
 
 
-def available() -> bool:
-    """Whether the fast-tier kernels can run (numpy importable)."""
-    return _np is not None
-
-
-def column_dtype(precision: str):
-    """The column dtype of a fast-tier batch (float32 for ``fast32``)."""
-    return _np.float32 if precision == "fast32" else _np.float64
-
-
-def power_column(bases, exponent: float, precision: str):
+def power_column(bases, exponent: float):
     """``bases ** exponent`` through numpy's SIMD ``power``.
 
     The exact tier computes this per element through Python's libm
     ``pow`` binding (numpy's vectorized ``power`` can differ in the
-    last ulp); the fast tier takes the SIMD version, optionally in
-    float32.  The exponent is cast to the column dtype so a float32
-    batch stays float32 end to end.
+    last ulp); the fast tier takes the SIMD version.
     """
-    table = _np.asarray(bases, dtype=column_dtype(precision))
-    return _np.power(table, table.dtype.type(exponent))
+    return _np.power(_np.asarray(bases, dtype=float), exponent)
 
 
 def scaled_accumulate(count: int, *columns):
@@ -103,7 +88,7 @@ def fold_rows(matrix):
     return matrix.sum(axis=-1)
 
 
-def share_sums(nre, quantities, indices, scales_column, precision: str):
+def share_sums(nre, quantities, indices, scales_column):
     """Fast-tier form of ``_CategoryMatrices.share_sums``.
 
     The exact tier folds the amortization denominators column by column
@@ -112,10 +97,8 @@ def share_sums(nre, quantities, indices, scales_column, precision: str):
     ``sum``-then-scale and the gather to a single fancy-indexed
     reduction over the key axis.
     """
-    dtype = column_dtype(precision)
-    totals = quantities.sum(axis=1).astype(dtype)
-    denominators = totals[None, :] * scales_column.astype(dtype)
-    shares = _np.empty((denominators.shape[0], len(nre) + 1), dtype=dtype)
-    shares[:, :-1] = nre.astype(dtype)[None, :] / denominators
+    denominators = quantities.sum(axis=1)[None, :] * scales_column
+    shares = _np.empty((denominators.shape[0], len(nre) + 1))
+    shares[:, :-1] = nre[None, :] / denominators
     shares[:, -1] = 0.0
     return shares[:, indices].sum(axis=2)

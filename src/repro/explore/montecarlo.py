@@ -159,7 +159,7 @@ def monte_carlo_cost(
             draw's chips through it on defect-scaled nodes, so
             ``method="fast"`` accepts overrides uniformly.
         precision: Evaluation tier for the closed-form path (``"exact"``
-            | ``"fast"`` | ``"fast32"``) — see PERFORMANCE.md
+            | ``"fast"``) — see PERFORMANCE.md
             "Precision tiers".  The naive path is always exact.
     """
     if method not in _METHODS:

@@ -83,7 +83,6 @@ def system_tornado(
     builder: Callable[[str, float], "System"],
     step: float = 0.2,
     engine: "CostEngine | None" = None,
-    workers: int | None = None,
     die_cost_fn: Callable | None = None,
 ) -> list[SensitivityResult]:
     """Tornado study over systems, evaluated on the batch engine.
@@ -91,8 +90,8 @@ def system_tornado(
     Like :func:`tornado`, but the callback builds the perturbed
     :class:`~repro.core.system.System` instead of computing the cost
     itself; all ``3 * len(parameters)`` evaluations run as one
-    ``evaluate_many`` batch (shared caches, optional worker pool) with
-    the per-unit RE total as the metric.  ``die_cost_fn`` optionally
+    ``evaluate_many`` batch (shared caches) with the per-unit RE total
+    as the metric.  ``die_cost_fn`` optionally
     reprices every evaluation (registry-named yield models / wafer
     geometries).
     """
@@ -107,7 +106,7 @@ def system_tornado(
     systems = [
         builder(parameter, scale) for parameter in parameters for scale in scales
     ]
-    costs = eng.evaluate_many(systems, workers=workers, die_cost_fn=die_cost_fn)
+    costs = eng.evaluate_many(systems, die_cost_fn=die_cost_fn)
     results = []
     for index, parameter in enumerate(parameters):
         base, low, high = (

@@ -65,7 +65,6 @@ def run_sweep(
     builder: Callable[[X], System],
     evaluator: Callable[[System], Y],
     engine: "CostEngine | None" = None,
-    workers: int | None = None,
 ) -> Sweep[X, Y]:
     """Evaluate ``builder(value)`` with ``evaluator`` for every value.
 
@@ -76,9 +75,8 @@ def run_sweep(
         evaluator: Maps a system to the recorded result.
         engine: :class:`~repro.engine.costengine.CostEngine` to run on;
             defaults to the process-wide shared engine.
-        workers: Optional pool size for parallel evaluation.
     """
     from repro.engine.costengine import default_engine
 
     eng = engine if engine is not None else default_engine()
-    return eng.sweep(name, values, builder, evaluator=evaluator, workers=workers)
+    return eng.sweep(name, values, builder, evaluator=evaluator)

@@ -43,9 +43,6 @@ from repro.packaging.base import IntegrationTech
 ModuleKey = tuple
 
 
-# Canonical JSON now lives in the neutral leaf ``repro.canon`` (it
-# serves reuse, corpus *and* service); re-exported here for existing
-# callers.
 __all__ = [
     "ModuleKey",
     "chip_design_key",
@@ -53,7 +50,6 @@ __all__ = [
     "integration_key",
     "module_design_key",
     "package_design_key",
-    "stable_json",
 ]
 
 

@@ -40,7 +40,7 @@ REUSE_SCHEMES = ("scms", "ocme", "fsmc")
 #: Engine precision tiers a study may request (PERFORMANCE.md
 #: "Precision tiers"); mirrors ``repro.engine.fasttier.PRECISIONS``
 #: without importing the engine at spec-parse time.
-PRECISIONS = ("exact", "fast", "fast32")
+PRECISIONS = ("exact", "fast")
 
 
 def _check_precision(study: object) -> None:

@@ -125,8 +125,7 @@ def run_search(
     registries: ConfigRegistries | None = None,
     die_cost_fn: DieCostFn | None = None,
     context: str = "search",
-    precision: str | None = None,
-    overrides: "EngineOverrides | None" = None,
+    precision: str = "exact",
 ) -> SearchResult:
     """Explore ``space`` and return its Pareto frontier plus top-k.
 
@@ -139,22 +138,9 @@ def run_search(
             :meth:`repro.config.ConfigRegistries.die_cost_fn`).
         context: Prefix for name-resolution errors (the study name when
             run from a scenario).
-        precision: Evaluation tier (``"exact"`` | ``"fast"`` |
-            ``"fast32"``; ``None`` = exact) — see PERFORMANCE.md
-            "Precision tiers".
-        overrides: Consolidated override value
-            (:class:`~repro.engine.overrides.EngineOverrides`) — the
-        one-object spelling of ``die_cost_fn`` + ``precision``, with
-        ``yield_model`` / ``wafer_geometry`` names resolved through
-        ``registries``.  Mutually exclusive with the legacy kwargs.
+        precision: Evaluation tier (``"exact"`` | ``"fast"``) — see
+            PERFORMANCE.md "Precision tiers".
     """
-    from repro.engine.overrides import coalesce
-
-    resolved = coalesce(overrides, die_cost_fn=die_cost_fn, precision=precision)
-    die_cost_fn = resolved.resolve_die_cost_fn(
-        registries=registries, context=context
-    )
-    precision = resolved.resolve_precision("exact")
     evaluator = SpaceEvaluator(
         space,
         registries=registries,

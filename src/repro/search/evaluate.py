@@ -105,7 +105,7 @@ class SpaceEvaluator:
         self.space = space
         self.die_cost_fn = die_cost_fn
         #: ``"exact"`` keeps every column bit-identical to the oracle;
-        #: ``"fast"`` / ``"fast32"`` route the die-yield transcendental
+        #: ``"fast"`` routes the die-yield transcendental
         #: and the per-chip accumulations through the relaxed-parity
         #: kernels of ``repro.engine.fasttier`` (bounded relative
         #: error; falls back to the exact scalar path without numpy).
@@ -318,7 +318,7 @@ def _die_columns_default(
         defects = (node.defect_density * table) / 100.0
         bases = 1.0 + defects / node.cluster_param
         if precision != "exact":
-            die_yield = fasttier.power_column(bases, exponent, precision)
+            die_yield = fasttier.power_column(bases, exponent)
         else:
             # libm pow per element, never numpy's SIMD power
             # (last-ulp parity)

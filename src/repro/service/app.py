@@ -53,6 +53,10 @@ class CostServiceServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the service singletons."""
 
     daemon_threads = True
+    #: Listen backlog.  socketserver's default of 5 overflows under a
+    #: few dozen concurrent clients: connection attempts are dropped,
+    #: retransmitted after ~1 s and sometimes reset.
+    request_queue_size = 128
 
     def __init__(
         self,
@@ -135,7 +139,16 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            # The body's extent is unknown, so the stream cannot be
+            # resynchronized for a keep-alive follow-up request.
+            self.close_connection = True
+            raise InvalidParameterError(
+                f"Content-Length must be an integer, got {header!r}"
+            ) from None
         if length <= 0:
             raise InvalidParameterError("request needs a JSON body")
         if length > MAX_BODY_BYTES:
@@ -198,26 +211,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoints -----------------------------------------------------
 
-    def _post_cost(self) -> None:
-        request = CostRequest.from_dict(self._read_json_body())
+    def _respond_cached(self, kind: str, request: Any, compute) -> None:
+        """Answer from the response cache, or ``compute(request)`` and
+        cache the result under the request's canonical value and the
+        live registry hash."""
         canonical = request.canonical()
         registry_hash = self.server.state.current_registry_hash()
-        cached = self.server.cache.get("cost", canonical, registry_hash)
-        if cached is not None:
-            self._send_json(
-                200,
-                {"result": cached, "registry_hash": registry_hash,
-                 "cached": True},
-            )
-            return
-        result = self.server.batcher.evaluate(request)
-        payload = result.to_dict()
-        self.server.cache.put("cost", canonical, registry_hash, payload)
+        payload = self.server.cache.get(kind, canonical, registry_hash)
+        cached = payload is not None
+        if not cached:
+            payload = compute(request).to_dict()
+            self.server.cache.put(kind, canonical, registry_hash, payload)
         self._send_json(
             200,
             {"result": payload, "registry_hash": registry_hash,
-             "cached": False},
+             "cached": cached},
         )
+
+    def _post_cost(self) -> None:
+        request = CostRequest.from_dict(self._read_json_body())
+        self._respond_cached("cost", request, self.server.batcher.evaluate)
 
     def _post_scenario(self) -> None:
         body = self._read_json_body()
@@ -227,25 +240,10 @@ class _Handler(BaseHTTPRequestHandler):
         request = ScenarioRequest.from_dict(body)
         if stream:
             self._stream_scenario(request)
-            return
-        canonical = request.canonical()
-        registry_hash = self.server.state.current_registry_hash()
-        cached = self.server.cache.get("scenario", canonical, registry_hash)
-        if cached is not None:
-            self._send_json(
-                200,
-                {"result": cached, "registry_hash": registry_hash,
-                 "cached": True},
+        else:
+            self._respond_cached(
+                "scenario", request, self.server.state.run_scenario
             )
-            return
-        result = self.server.state.run_scenario(request)
-        payload = result.to_dict()
-        self.server.cache.put("scenario", canonical, registry_hash, payload)
-        self._send_json(
-            200,
-            {"result": payload, "registry_hash": registry_hash,
-             "cached": False},
-        )
 
     def _stream_scenario(self, request: ScenarioRequest) -> None:
         """NDJSON event stream, chunked so studies arrive as they run."""
@@ -296,24 +294,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_search(self) -> None:
         request = SearchRequest.from_dict(self._read_json_body())
-        canonical = request.canonical()
-        registry_hash = self.server.state.current_registry_hash()
-        cached = self.server.cache.get("search", canonical, registry_hash)
-        if cached is not None:
-            self._send_json(
-                200,
-                {"result": cached, "registry_hash": registry_hash,
-                 "cached": True},
-            )
-            return
-        result = self.server.state.run_search(request)
-        payload = result.to_dict()
-        self.server.cache.put("search", canonical, registry_hash, payload)
-        self._send_json(
-            200,
-            {"result": payload, "registry_hash": registry_hash,
-             "cached": False},
-        )
+        self._respond_cached("search", request, self.server.state.run_search)
 
 
 class ServerThread:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.canon import stable_json
-from repro.engine.overrides import EngineOverrides
 from repro.errors import InvalidParameterError
 from repro.reporting.table import Table
 
@@ -140,12 +139,6 @@ class CostRequest:
 
     def canonical(self) -> str:
         return stable_json(self.to_dict())
-
-    def overrides(self) -> EngineOverrides:
-        """The engine override value these request fields select."""
-        return EngineOverrides(
-            yield_model=self.yield_model, wafer_geometry=self.wafer_geometry
-        )
 
     def override_key(self) -> tuple[str, str]:
         """Batching key: requests coalesce into one ``evaluate_many``
@@ -446,13 +439,6 @@ class SearchRequest:
 
     def canonical(self) -> str:
         return stable_json(self.to_dict())
-
-    def overrides(self) -> EngineOverrides:
-        return EngineOverrides(
-            yield_model=self.yield_model,
-            wafer_geometry=self.wafer_geometry,
-            precision=self.precision,
-        )
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,21 @@ def build_system(request: CostRequest) -> Any:
     )
 
 
+def resolve_die_cost_fn(
+    request: CostRequest | SearchRequest, context: str
+) -> Any:
+    """The die pricing a request's ``yield_model`` / ``wafer_geometry``
+    names select, resolved through the global registries by
+    :meth:`repro.config.ConfigRegistries.die_cost_fn` (``None``: the
+    engine's default pricing).  Unknown names raise
+    :class:`~repro.errors.ConfigError`."""
+    from repro.config import ConfigRegistries
+
+    return ConfigRegistries().die_cost_fn(
+        request.yield_model, request.wafer_geometry, context=context
+    )
+
+
 def _result_from_costs(system: Any, re: Any, total: Any) -> CostResult:
     return CostResult(
         system=system.name,
@@ -86,16 +101,13 @@ def evaluate_cost(request: CostRequest, engine: Any = None) -> CostResult:
     from repro.core.total import compute_total_cost
 
     system = build_system(request)
-    overrides = request.overrides()
+    price_die = resolve_die_cost_fn(request, "cost")
     if engine is None:
         from repro.core.re_cost import compute_re_cost
 
-        re = compute_re_cost(
-            system,
-            die_cost_fn=overrides.resolve_die_cost_fn(context="cost"),
-        )
+        re = compute_re_cost(system, die_cost_fn=price_die)
     else:
-        re = engine.evaluate_re(system, overrides=overrides)
+        re = engine.evaluate_re(system, die_cost_fn=price_die)
     total = compute_total_cost(system, re_cost=re)
     return _result_from_costs(system, re, total)
 
@@ -119,9 +131,8 @@ def evaluate_cost_batch(
         groups.setdefault(request.override_key(), []).append(index)
     for indices in groups.values():
         systems = [build_system(requests[index]) for index in indices]
-        res = engine.evaluate_many(
-            systems, overrides=requests[indices[0]].overrides()
-        )
+        price_die = resolve_die_cost_fn(requests[indices[0]], "cost")
+        res = engine.evaluate_many(systems, die_cost_fn=price_die)
         for position, index in enumerate(indices):
             system = systems[position]
             total = compute_total_cost(system, re_cost=res[position])
@@ -211,8 +222,11 @@ class ServiceState:
             self.requests_served += 1
             result = run_search(
                 request.space,
+                die_cost_fn=resolve_die_cost_fn(request, "search"),
                 context="search",
-                overrides=request.overrides(),
+                precision=(
+                    "exact" if request.precision is None else request.precision
+                ),
             )
         return SearchRunResult(
             n_candidates=result.n_candidates,
@@ -249,4 +263,5 @@ __all__ = [
     "build_system",
     "evaluate_cost",
     "evaluate_cost_batch",
+    "resolve_die_cost_fn",
 ]

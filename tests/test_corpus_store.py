@@ -15,7 +15,7 @@ from repro.corpus.hashing import (
 from repro.corpus.store import ResultStore, StoreKey
 from repro.errors import StoreCorruptionError
 from repro.ioutil import atomic_write_text, sweep_temp_files
-from repro.reuse.keys import stable_json
+from repro.canon import stable_json
 
 PAYLOAD = {
     "scenario": "s",

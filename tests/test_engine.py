@@ -150,38 +150,23 @@ class TestEngineParity:
             assert a.amortized_nre == b.amortized_nre
 
     def test_evaluate_many_serial_and_threaded(self):
+        """Batch evaluation is per-item ``evaluate_re`` in order (there is
+        no pool backend any more): naive-identical, and repeatable."""
         systems = _systems()
         engine = CostEngine()
-        serial = [cost.total for cost in engine.evaluate_many(systems)]
-        threaded = [
-            cost.total
-            for cost in engine.evaluate_many(systems, workers=2, backend="thread")
-        ]
-        assert serial == threaded
-        assert serial == [compute_re_cost(system).total for system in systems]
+        first = [cost.total for cost in engine.evaluate_many(systems)]
+        again = [cost.total for cost in engine.evaluate_many(systems)]
+        assert first == again
+        assert first == [compute_re_cost(system).total for system in systems]
 
     def test_threaded_pool_uses_calling_engine(self, n5):
-        """Thread workers share the process: the calling engine's hot
-        caches (and any subclass override) must stay in play."""
+        """Batch evaluation runs on the calling engine: its hot caches
+        (and any subclass override) stay in play."""
         engine = CostEngine()
         engine.clear_caches()
         systems = [soc_reference(area, n5) for area in (100.0, 200.0, 300.0)]
-        engine.evaluate_many(systems, workers=2, backend="thread")
+        engine.evaluate_many(systems)
         assert engine.cache_info()["die_hot_entries"] == 3
-
-    def test_evaluate_many_process_pool(self):
-        systems = _systems()[:3]
-        engine = CostEngine(workers=2, backend="process")
-        totals = [cost.total for cost in engine.evaluate_many(systems)]
-        assert totals == [compute_re_cost(system).total for system in systems]
-
-    def test_invalid_workers_and_backend(self):
-        with pytest.raises(InvalidParameterError):
-            CostEngine(workers=0)
-        with pytest.raises(InvalidParameterError):
-            CostEngine(backend="fiber")
-        with pytest.raises(InvalidParameterError):
-            CostEngine().evaluate_many(_systems()[:1], backend="fiber")
 
     def test_cache_info_and_clear(self, n5):
         engine = CostEngine()

@@ -1,17 +1,21 @@
-"""EngineOverrides: the consolidated override value and its back-compat
-shims — both spellings bit-identical at every engine entry point."""
+"""Die-pricing overrides at every engine entry point: a ``die_cost_fn``
+passed to the engine, the search or the portfolio engine prices exactly
+like the engine-free core path under the same closure."""
 
 import pytest
 
-from repro.config import ConfigRegistries
-from repro.engine import EngineOverrides, NO_OVERRIDES, CostEngine
+from repro.config import ConfigRegistries, build_registries
+from repro.core.re_cost import compute_re_cost
+from repro.core.total import compute_total_cost
+from repro.engine import CostEngine
 from repro.engine.fastportfolio import PortfolioEngine
-from repro.engine.overrides import coalesce
-from repro.errors import ConfigError, InvalidParameterError
+from repro.errors import ConfigError
+from repro.explore.montecarlo import monte_carlo_cost
 from repro.explore.partition import partition_monolith, soc_reference
 from repro.packaging.mcm import mcm
 from repro.process.catalog import get_node
 from repro.search.engine import run_search
+from repro.search.oracle import run_search_oracle
 from repro.search.space import DesignSpace
 
 
@@ -26,148 +30,60 @@ def system():
     return partition_monolith(500.0, get_node("7nm"), 3, mcm())
 
 
-class TestValueObject:
-    def test_empty_is_falsy(self):
-        assert not NO_OVERRIDES
-        assert not EngineOverrides()
-
-    def test_any_field_is_truthy(self):
-        assert EngineOverrides(yield_model="poisson")
-        assert EngineOverrides(precision="fast")
-        assert EngineOverrides(die_cost_fn=_die_cost_fn())
-
-    def test_closure_and_names_mutually_exclusive(self):
-        with pytest.raises(InvalidParameterError, match="not both"):
-            EngineOverrides(die_cost_fn=_die_cost_fn(),
-                            yield_model="poisson")
-
-    def test_precision_validated_eagerly(self):
-        with pytest.raises(InvalidParameterError):
-            EngineOverrides(precision="approximate")
-
-    def test_resolution_is_memoized_per_instance(self):
-        overrides = EngineOverrides(yield_model="poisson")
-        first = overrides.resolve_die_cost_fn()
-        assert overrides.resolve_die_cost_fn() is first
-
-    def test_explicit_registries_bypass_the_memo(self):
-        overrides = EngineOverrides(yield_model="poisson")
-        registries = ConfigRegistries()
-        resolved = overrides.resolve_die_cost_fn(registries=registries)
-        assert resolved is not None
-        # Global resolution stays independent of the scoped one.
-        assert overrides.resolve_die_cost_fn() is not resolved
-
-    def test_unknown_name_raises_config_error(self):
-        with pytest.raises(ConfigError, match="nope"):
-            EngineOverrides(yield_model="nope").resolve_die_cost_fn()
-
-    def test_empty_resolves_to_none(self):
-        assert NO_OVERRIDES.resolve_die_cost_fn() is None
-        assert NO_OVERRIDES.resolve_precision() == "exact"
-        assert NO_OVERRIDES.resolve_precision("fast32") == "fast32"
-
-    def test_precision_resolution(self):
-        assert EngineOverrides(precision="fast").resolve_precision() == "fast"
-
-
-class TestCoalesce:
-    def test_kwargs_build_an_overrides_value(self):
-        fn = _die_cost_fn()
-        folded = coalesce(None, die_cost_fn=fn, precision="fast")
-        assert folded.die_cost_fn is fn
-        assert folded.precision == "fast"
-
-    def test_no_kwargs_is_the_shared_empty(self):
-        assert coalesce(None) is NO_OVERRIDES
-
-    def test_overrides_pass_through(self):
-        overrides = EngineOverrides(yield_model="poisson")
-        assert coalesce(overrides) is overrides
-
-    def test_both_spellings_rejected(self):
-        overrides = EngineOverrides(yield_model="poisson")
-        with pytest.raises(InvalidParameterError, match="not both"):
-            coalesce(overrides, die_cost_fn=_die_cost_fn())
-        with pytest.raises(InvalidParameterError, match="not both"):
-            coalesce(overrides, precision="fast")
-
-    def test_wrong_type_rejected(self):
-        with pytest.raises(InvalidParameterError, match="EngineOverrides"):
-            coalesce({"yield_model": "poisson"})
-
-
 class TestEngineEquivalence:
-    """kwargs spelling == overrides spelling, bit for bit."""
+    """engine entry point under ``die_cost_fn`` == core path, bit for bit."""
 
     def test_evaluate_re(self, system):
-        engine = CostEngine()
-        legacy = engine.evaluate_re(system, die_cost_fn=_die_cost_fn())
-        modern = engine.evaluate_re(
-            system, overrides=EngineOverrides(yield_model="poisson")
-        )
-        assert modern == legacy
-        assert modern != CostEngine().evaluate_re(system)
+        fn = _die_cost_fn()
+        priced = CostEngine().evaluate_re(system, die_cost_fn=fn)
+        assert priced == compute_re_cost(system, die_cost_fn=fn)
+        assert priced != CostEngine().evaluate_re(system)
 
     def test_evaluate_total(self, system):
-        engine = CostEngine()
-        legacy = engine.evaluate_total(system, die_cost_fn=_die_cost_fn())
-        modern = engine.evaluate_total(
-            system, overrides=EngineOverrides(yield_model="poisson")
+        fn = _die_cost_fn()
+        priced = CostEngine().evaluate_total(system, die_cost_fn=fn)
+        oracle = compute_total_cost(
+            system, re_cost=compute_re_cost(system, die_cost_fn=fn)
         )
-        assert modern == legacy
+        assert priced == oracle
 
     def test_monte_carlo(self, system):
-        engine = CostEngine()
-        legacy = engine.monte_carlo(
-            system, draws=50, seed=3, die_cost_fn=_die_cost_fn(),
-            precision="fast",
+        fn = _die_cost_fn()
+        samples = CostEngine().monte_carlo(
+            system, draws=50, seed=3, die_cost_fn=fn
         )
-        modern = engine.monte_carlo(
-            system, draws=50, seed=3,
-            overrides=EngineOverrides(yield_model="poisson",
-                                      precision="fast"),
+        naive = monte_carlo_cost(
+            system, draws=50, seed=3, method="naive", die_cost_fn=fn
         )
-        assert modern == legacy
+        assert tuple(samples) == tuple(naive.samples)
 
     def test_evaluate_many(self, system):
-        engine = CostEngine()
+        fn = _die_cost_fn()
         systems = [system, soc_reference(400.0, get_node("7nm"))]
-        legacy = engine.evaluate_many(systems, die_cost_fn=_die_cost_fn())
-        modern = engine.evaluate_many(
-            systems, overrides=EngineOverrides(yield_model="poisson")
-        )
-        assert modern == legacy
+        priced = CostEngine().evaluate_many(systems, die_cost_fn=fn)
+        assert priced == [compute_re_cost(s, die_cost_fn=fn) for s in systems]
 
     def test_sweep_and_grid(self):
         node = get_node("7nm")
         engine = CostEngine()
-        overrides = EngineOverrides(yield_model="poisson")
+        fn = _die_cost_fn()
 
         def builder(area):
             return soc_reference(area, node)
 
-        legacy = engine.sweep("s", [200.0, 300.0], builder,
-                              die_cost_fn=_die_cost_fn())
-        modern = engine.sweep("s", [200.0, 300.0], builder,
-                              overrides=overrides)
-        assert modern == legacy
+        sweep = engine.sweep("s", [200.0, 300.0], builder, die_cost_fn=fn)
+        assert sweep.values() == [
+            compute_re_cost(builder(area), die_cost_fn=fn)
+            for area in (200.0, 300.0)
+        ]
 
         def grid_builder(area, count):
             return partition_monolith(area, node, count, mcm())
 
-        legacy = engine.grid("g", [300.0], [2, 3], grid_builder,
-                             die_cost_fn=_die_cost_fn())
-        modern = engine.grid("g", [300.0], [2, 3], grid_builder,
-                             overrides=overrides)
-        assert modern == legacy
-
-    def test_ambiguous_spelling_raises(self, system):
-        with pytest.raises(InvalidParameterError, match="not both"):
-            CostEngine().evaluate_re(
-                system,
-                die_cost_fn=_die_cost_fn(),
-                overrides=EngineOverrides(yield_model="poisson"),
+        grid = engine.grid("g", [300.0], [2, 3], grid_builder, die_cost_fn=fn)
+        for count in (2, 3):
+            assert grid.value(300.0, count) == compute_re_cost(
+                grid_builder(300.0, count), die_cost_fn=fn
             )
 
 
@@ -181,31 +97,34 @@ class TestSearchEquivalence:
     )
 
     def test_run_search(self):
-        legacy = run_search(
-            self.SPACE, die_cost_fn=_die_cost_fn(), precision="fast"
-        )
-        modern = run_search(
-            self.SPACE,
-            overrides=EngineOverrides(yield_model="poisson",
-                                      precision="fast"),
-        )
-        assert modern.frontier == legacy.frontier
-        assert modern.top == legacy.top
+        fn = _die_cost_fn()
+        priced = run_search(self.SPACE, die_cost_fn=fn)
+        oracle = run_search_oracle(self.SPACE, die_cost_fn=fn)
+        assert priced.frontier == oracle.frontier
+        assert priced.top == oracle.top
+        assert priced.top != run_search(self.SPACE).top
+        fast = run_search(self.SPACE, die_cost_fn=fn, precision="fast")
+        assert fast.frontier_indices() == priced.frontier_indices()
 
     def test_names_resolve_through_given_registries(self):
-        registries = ConfigRegistries()
-        modern = run_search(
-            self.SPACE,
-            registries=registries,
-            overrides=EngineOverrides(yield_model="poisson"),
+        # A yield model that exists only in the document's scoped
+        # registries: the scoped layer resolves it, the global one not.
+        registries = build_registries(
+            {"yield_models": {"doc-poisson": {"model": "poisson"}}}
         )
-        legacy = run_search(
-            self.SPACE,
-            registries=registries,
-            die_cost_fn=registries.die_cost_fn("poisson", "",
-                                               context="search"),
+        fn = registries.die_cost_fn("doc-poisson", "", context="search")
+        with pytest.raises(ConfigError, match="doc-poisson"):
+            _die_cost_fn("doc-poisson")
+        scoped = run_search(
+            self.SPACE, registries=registries, die_cost_fn=fn
         )
-        assert modern.frontier == legacy.frontier
+        oracle = run_search_oracle(
+            self.SPACE, registries=registries, die_cost_fn=fn
+        )
+        assert scoped.frontier == oracle.frontier
+        assert scoped.top == run_search(
+            self.SPACE, die_cost_fn=_die_cost_fn("poisson")
+        ).top
 
 
 class TestPortfolioEquivalence:
@@ -220,22 +139,22 @@ class TestPortfolioEquivalence:
 
     def test_volume_solve(self):
         portfolio = self._portfolio()
-        overrides = EngineOverrides(yield_model="poisson")
-        legacy = PortfolioEngine(CostEngine()).volume_solve(
-            portfolio, [1.0, 2.0], die_cost_fn=_die_cost_fn()
-        )
-        modern = PortfolioEngine(CostEngine()).volume_solve(
-            portfolio, [1.0, 2.0], overrides=overrides
-        )
-        assert modern.point_totals(0) == legacy.point_totals(0)
-        assert modern.point_average(1) == legacy.point_average(1)
+        fn = _die_cost_fn()
+        engine = PortfolioEngine(CostEngine())
+        solve = engine.volume_solve(portfolio, [1.0, 2.0], die_cost_fn=fn)
+        for index, scale in enumerate((1.0, 2.0)):
+            costs = engine.evaluate(portfolio, scale, die_cost_fn=fn)
+            assert solve.point_totals(index) == costs.totals()
+            assert solve.point_average(index) == costs.average
+        default = engine.volume_solve(portfolio, [1.0, 2.0])
+        assert default.point_totals(0) != solve.point_totals(0)
 
     def test_evaluate(self):
         portfolio = self._portfolio()
-        legacy = PortfolioEngine(CostEngine()).evaluate(
-            portfolio, die_cost_fn=_die_cost_fn()
+        fn = _die_cost_fn()
+        costs = PortfolioEngine(CostEngine()).evaluate(
+            portfolio, die_cost_fn=fn
         )
-        modern = PortfolioEngine(CostEngine()).evaluate(
-            portfolio, overrides=EngineOverrides(yield_model="poisson")
-        )
-        assert modern == legacy
+        for member, cost in zip(portfolio.systems, costs.costs):
+            assert cost.re == compute_re_cost(member, die_cost_fn=fn)
+            assert cost.amortized_nre == portfolio.amortized_nre(member)

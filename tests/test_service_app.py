@@ -1,15 +1,17 @@
 """HTTP end-to-end: every endpoint, CLI parity, caching, streaming,
 and error mapping — all against an in-process server."""
 
+import http.client
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
 from repro.cli import main
 from repro.corpus.hashing import registry_hash
-from repro.service.app import ServerThread
+from repro.service.app import CostServiceServer, ServerThread
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.schemas import (
     CostRequest,
@@ -32,6 +34,12 @@ def _post_raw(client: ServiceClient, path: str, body: bytes,
         headers={"Content-Type": content_type},
     )
     return urllib.request.urlopen(request, timeout=30)
+
+
+def test_listen_backlog_holds_concurrent_clients():
+    """socketserver's default backlog of 5 drops connections under a few
+    dozen concurrent clients; the service listens with 128."""
+    assert CostServiceServer.request_queue_size == 128
 
 
 class TestHealthAndRegistries:
@@ -127,6 +135,28 @@ class TestCostEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post_raw(service, "/v1/cost", b"")
         assert excinfo.value.code == 400
+
+    def test_malformed_content_length_400(self, service):
+        host, port = urllib.parse.urlsplit(service.base_url).netloc.split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            connection.putrequest("POST", "/v1/cost")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders()
+            response = connection.getresponse()
+            error = json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert error["type"] == "InvalidParameterError"
+        assert "Content-Length" in error["message"]
+
+    def test_unknown_yield_model_400(self, service):
+        with pytest.raises(ServiceError) as excinfo:
+            service.cost(CostRequest(area=100.0, yield_model="no-such-model"))
+        assert excinfo.value.status == 400
+        assert "no-such-model" in str(excinfo.value)
 
 
 SCENARIO_DOC = {

@@ -79,13 +79,15 @@ class TestCostRequest:
         )
 
     def test_overrides_and_key(self):
+        from repro.service.state import resolve_die_cost_fn
+
         plain = CostRequest(area=100.0)
-        assert not plain.overrides()
+        assert resolve_die_cost_fn(plain, "cost") is None
         assert plain.override_key() == ("", "")
         named = CostRequest(area=100.0, yield_model="poisson",
-                            wafer_geometry="panel-510")
-        assert named.overrides().yield_model == "poisson"
-        assert named.override_key() == ("poisson", "panel-510")
+                            wafer_geometry="450mm")
+        assert resolve_die_cost_fn(named, "cost") is not None
+        assert named.override_key() == ("poisson", "450mm")
 
 
 class TestCostResult:
@@ -234,8 +236,8 @@ class TestSearchSchemas:
         )
         assert again.space == request.space
         assert again.canonical() == request.canonical()
-        assert again.overrides().precision == "fast"
-        assert again.overrides().yield_model == "poisson"
+        assert again.precision == "fast"
+        assert again.yield_model == "poisson"
 
     def test_requires_space(self):
         with pytest.raises(InvalidParameterError, match="space"):
