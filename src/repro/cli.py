@@ -389,7 +389,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         space,
         die_cost_fn=_die_cost_override(args, "search"),
         context="search",
-        precision=args.precision,
     )
     table = Table(
         ["design", "set", "total/unit", "RE/unit", "NRE total",
@@ -717,13 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--test-cost", action="store_true",
         help="include tester economics (default test-cost model)",
-    )
-    search.add_argument(
-        "--precision",
-        choices=["exact", "fast"],
-        default="exact",
-        help="evaluation tier: exact (bit-parity, default) or fast "
-        "(reassociated float64); see PERFORMANCE.md",
     )
     _add_yield_arguments(search)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import InvalidParameterError
-from repro.packaging.base import IntegrationTech, PackagingCost
+from repro.packaging.base import IntegrationTech, PackagingAffine, PackagingCost
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +68,8 @@ class PackageDesign:
         chips = sorted(chip_areas, reverse=True)
         return all(chip <= socket + 1e-9 for chip, socket in zip(chips, sockets))
 
-    def packaging_cost(
-        self, chip_areas: Sequence[float], kgd_cost: float
-    ) -> PackagingCost:
-        """Recurring packaging cost for chips assembled in this design.
+    def packaging_affine(self, chip_areas: Sequence[float]) -> PackagingAffine:
+        """Packaging cost coefficients for chips assembled in this design.
 
         Carrier and substrate are sized by the *design*; bonding yields
         follow the *actual* chip count.
@@ -81,9 +79,15 @@ class PackageDesign:
                 f"package design {self.name!r} cannot hold chips "
                 f"{[f'{a:.0f}' for a in chip_areas]} mm^2"
             )
-        return self.integration.packaging_cost(
-            chip_areas, kgd_cost, sized_for=self.socket_areas
+        return self.integration.packaging_affine(
+            chip_areas, sized_for=self.socket_areas
         )
+
+    def packaging_cost(
+        self, chip_areas: Sequence[float], kgd_cost: float
+    ) -> PackagingCost:
+        """Recurring packaging cost for chips assembled in this design."""
+        return self.packaging_affine(chip_areas).packaging_cost(kgd_cost)
 
     @property
     def nre(self) -> float:

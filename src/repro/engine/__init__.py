@@ -31,7 +31,7 @@ _EXPORTS = {
     "die_cost_cache_info": "repro.wafer.diecache",
     "no_cache": "repro.wafer.diecache",
     "DIE_COST_CACHE_MAXSIZE": "repro.wafer.diecache",
-    "PackagingAffine": "repro.engine.packaging_affine",
+    "PackagingAffine": "repro.packaging.base",
     "linearize_packaging": "repro.engine.packaging_affine",
     "CostEngine": "repro.engine.costengine",
     "GridPoint": "repro.engine.costengine",

@@ -5,8 +5,8 @@ portfolio reports) all reduce to "price many :class:`~repro.core.system.
 System` objects".  The engine gives that loop one home:
 
 * per-system evaluation reuses the memoized die-cost layer
-  (``repro.wafer.diecache``) and a per-(package, areas) affine
-  packaging decomposition (``repro.engine.packaging_affine``), so a
+  (``repro.wafer.diecache``) and caches the packaging coefficients
+  per (package, areas) (``repro.engine.packaging_affine``), so a
   100-point sweep prices each distinct die and package once;
 * :meth:`CostEngine.sweep` / :meth:`CostEngine.grid` are the batch
   front-ends that ``repro.explore`` and the CLI route through.
@@ -28,9 +28,10 @@ from repro.core.re_cost import compute_re_cost
 from repro.core.system import System
 from repro.core.total import compute_total_cost
 from repro.wafer.diecache import cached_die_cost
-from repro.engine.packaging_affine import PackagingAffine, linearize_packaging
+from repro.engine.packaging_affine import linearize_packaging
 from repro.errors import InvalidParameterError
 from repro.explore.sweep import Sweep, SweepPoint
+from repro.packaging.base import PackagingAffine
 from repro.wafer.die import DieSpec
 
 X = TypeVar("X")
@@ -38,7 +39,7 @@ Y = TypeVar("Y")
 R = TypeVar("R")
 C = TypeVar("C")
 
-#: Affine-decomposition entries kept per engine before a full reset.
+#: Packaging-coefficient entries kept per engine before a full reset.
 _AFFINE_CACHE_MAXSIZE = 4096
 
 #: Identity-keyed die-cost entries kept per engine before a full reset.
@@ -103,8 +104,7 @@ class CostEngine:
         # recycled for a different live object (entries are verified
         # with an `is` check on hit anyway).
         self._die_cache: dict[tuple[int, float], tuple] = {}
-        # key -> [packager, PackagingAffine | None, linearized?]
-        self._affine_cache: dict[tuple, list] = {}
+        self._affine_cache: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # single-system evaluation
@@ -123,31 +123,20 @@ class CostEngine:
         self._die_cache[key] = (node, cost)
         return cost
 
-    def _packaging_affine(self, system: System) -> PackagingAffine | None:
-        """Cached affine packaging decomposition for this system's
-        (package-or-integration, chip areas) combination.
-
-        Linearization costs three probe calls, so it only pays off for a
-        key evaluated repeatedly (portfolio re-pricing, repeated design
-        studies).  The first encounter of a key records it and returns
-        ``None`` (the caller prices packaging directly, like the naive
-        path); the second linearizes and caches the affine form.
-        """
+    def _packaging_affine(self, system: System) -> PackagingAffine:
+        """Cached packaging coefficients for this system's
+        (package-or-integration, chip areas) combination."""
         packager = system.package if system.package is not None else system.integration
         areas = system.chip_areas
         key = (id(packager), areas)
         entry = self._affine_cache.get(key)
-        if entry is None or entry[0] is not packager:
-            if len(self._affine_cache) >= _AFFINE_CACHE_MAXSIZE:
-                self._affine_cache.clear()
-            self._affine_cache[key] = [packager, None, False]
-            return None
-        if not entry[2]:
-            entry[1] = linearize_packaging(
-                lambda kgd: packager.packaging_cost(areas, kgd)
-            )
-            entry[2] = True
-        return entry[1]
+        if entry is not None and entry[0] is packager:
+            return entry[1]
+        affine = linearize_packaging(packager, areas)
+        if len(self._affine_cache) >= _AFFINE_CACHE_MAXSIZE:
+            self._affine_cache.clear()
+        self._affine_cache[key] = (packager, affine)
+        return affine
 
     def evaluate_re(
         self,
@@ -159,7 +148,7 @@ class CostEngine:
 
         Delegates to the single shared accumulation in
         ``repro.core.re_cost``, supplying the engine's identity-keyed
-        die cache and (once warm) the affine packaging decomposition.
+        die cache and cached packaging coefficients.
 
         Args:
             system: The system to price.
@@ -167,15 +156,14 @@ class CostEngine:
                 replacing the engine's die pricing — how registry-named
                 yield models / wafer geometries
                 (:meth:`repro.config.ConfigRegistries.die_cost_fn`)
-                reach every evaluation path.  The affine packaging
-                decomposition still applies (it is a function of the
+                reach every evaluation path.  The cached packaging
+                coefficients still apply (they are a function of the
                 packager and chip areas only, not of die prices).
         """
-        affine = self._packaging_affine(system)
         return compute_re_cost(
             system,
             die_cost_fn=die_cost_fn if die_cost_fn is not None else self._die_cost_for,
-            packaging_cost_fn=affine.packaging_cost if affine is not None else None,
+            packaging_cost_fn=self._packaging_affine(system).packaging_cost,
         )
 
     def evaluate_total(

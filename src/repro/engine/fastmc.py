@@ -14,11 +14,12 @@ per chip, after which the per-unit RE total is pure float arithmetic:
     total(s) = raw_chips + sum_i raw_i * (1/y_i - 1) * n_i
                + A + B + k * kgd_total(s)
 
-with ``A``/``B``/``k`` the affine packaging coefficients of
-``repro.engine.packaging_affine``.  :class:`MonteCarloPlan` precomputes
-the per-chip structure once and evaluates each draw in a few dozen
-floating-point operations, replicating the oracle's expression ordering
-bit-for-bit (negative-binomial yield, ``raw / y`` KGD pricing and the
+with ``A``/``B``/``k`` the packaging coefficients the system's
+technology reports (``repro.engine.packaging_affine``).
+:class:`MonteCarloPlan` precomputes the per-chip structure once and
+evaluates each draw in a few dozen floating-point operations,
+replicating the oracle's expression ordering bit-for-bit
+(negative-binomial yield, ``raw / y`` KGD pricing and the
 ``RECost.total`` association).
 
 The pipeline is vectorized end-to-end when numpy is available:
@@ -47,8 +48,8 @@ plan: ``compile(system, die_cost_fn=...)`` captures the override (the
 re-prices every unique chip through it on a defect-scaled node —
 exactly the calls ``compute_re_cost`` would make on a perturbed system,
 without rebuilding the object graph.  The prior stream stays vectorized
-and the packaging stays affine, so ``method="fast"`` accepts overrides
-uniformly with the naive path.
+and the packaging coefficients stay fixed, so ``method="fast"`` accepts
+overrides uniformly with the naive path.
 """
 
 from __future__ import annotations
@@ -65,9 +66,10 @@ except ImportError:  # pragma: no cover - exercised via _sample_loop tests
 from repro.core.system import System
 from repro.wafer.diecache import cached_die_cost
 from repro.engine import fasttier
-from repro.engine.packaging_affine import PackagingAffine, linearize_packaging
+from repro.engine.packaging_affine import linearize_packaging
 from repro.engine.rng import sample_prior, sample_prior_array
 from repro.errors import InvalidParameterError
+from repro.packaging.base import PackagingAffine
 from repro.process.node import ProcessNode
 from repro.wafer.die import DieCost, DieSpec
 from repro.yieldmodel.models import MM2_PER_CM2
@@ -99,8 +101,7 @@ class MonteCarloPlan:
 
     node_names: tuple[str, ...]
     terms: tuple[_ChipTerm, ...]
-    affine: PackagingAffine | None
-    system: System
+    affine: PackagingAffine
     die_cost_fn: Callable[[ProcessNode, float], DieCost] | None = None
 
     @classmethod
@@ -136,15 +137,11 @@ class MonteCarloPlan:
         packager = (
             system.package if system.package is not None else system.integration
         )
-        areas = system.chip_areas
-        affine = linearize_packaging(
-            lambda kgd: packager.packaging_cost(areas, kgd)
-        )
+        affine = linearize_packaging(packager, system.chip_areas)
         return cls(
             node_names=tuple(sorted({chip.node.name for chip in system.chips})),
             terms=tuple(terms),
             affine=affine,
-            system=system,
             die_cost_fn=die_cost_fn,
         )
 
@@ -182,17 +179,7 @@ class MonteCarloPlan:
             chip_defects += defect * term.count
             kgd_total += total * term.count
 
-        if self.affine is not None:
-            packaging_total = self.affine.total_with(kgd_total)
-        else:
-            packager = (
-                self.system.package
-                if self.system.package is not None
-                else self.system.integration
-            )
-            cost = packager.packaging_cost(self.system.chip_areas, kgd_total)
-            packaging_total = cost.raw_package + cost.package_defects + cost.wasted_kgd
-        return (raw_chips + chip_defects) + packaging_total
+        return (raw_chips + chip_defects) + self.affine.total_with(kgd_total)
 
     def evaluate_batch(
         self,
@@ -219,11 +206,6 @@ class MonteCarloPlan:
             raise InvalidParameterError(
                 "MonteCarloPlan.evaluate_batch needs numpy; "
                 "use evaluate() per draw instead"
-            )
-        if self.affine is None:
-            raise InvalidParameterError(
-                "evaluate_batch needs an affine packaging decomposition; "
-                "use evaluate() per draw for non-affine technologies"
             )
         if self.die_cost_fn is not None:
             raise InvalidParameterError(
@@ -272,10 +254,7 @@ class MonteCarloPlan:
             raw_chips += term.raw * term.count
             chip_defects = chip_defects + defect * term.count
             kgd_total = kgd_total + total * term.count
-        wasted = kgd_total * self.affine.wasted_slope
-        if self.affine.wasted_intercept != 0.0:
-            wasted = self.affine.wasted_intercept + wasted
-        packaging_total = self.affine.fixed_total + wasted
+        packaging_total = self.affine.total_with(kgd_total)
         return ((raw_chips + chip_defects) + packaging_total).tolist()
 
 
@@ -292,10 +271,10 @@ def sample_re_costs(
     Draw-for-draw identical to the object-rebuilding oracle: the RNG
     stream, per-node scale assignment and cost arithmetic all match.
     Prior draws come vectorized from ``repro.engine.rng``; evaluation
-    uses the numpy batch evaluator when numpy is installed, the
-    system's packaging is affine and die pricing is the default, and
-    the scalar per-draw loop otherwise.  ``die_cost_fn`` carries
-    registry-named yield-model / wafer-geometry overrides
+    uses the numpy batch evaluator when numpy is installed and die
+    pricing is the default, and the scalar per-draw loop otherwise.
+    ``die_cost_fn`` carries registry-named yield-model /
+    wafer-geometry overrides
     (:meth:`repro.config.ConfigRegistries.die_cost_fn`) into every
     draw's die pricing.
 
@@ -311,7 +290,7 @@ def sample_re_costs(
     plan = MonteCarloPlan.compile(system, die_cost_fn=die_cost_fn)
     rng = random.Random(seed)
     prior = DefectDensityPrior(mode=1.0, sigma=sigma)
-    if _np is None or plan.affine is None or plan.die_cost_fn is not None:
+    if _np is None or plan.die_cost_fn is not None:
         return _sample_loop(plan, rng, prior, draws)
     # The prior stream is draw-major in node_names order — exactly the
     # scalar dict fill — and bit-identical to per-call draws.

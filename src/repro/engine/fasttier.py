@@ -69,16 +69,6 @@ def power_column(bases, exponent: float):
     return _np.power(_np.asarray(bases, dtype=float), exponent)
 
 
-def scaled_accumulate(count: int, *columns):
-    """``count`` instances of each column as one multiply.
-
-    The exact tier replicates the per-unique-chip accumulation loops
-    (``count`` sequential additions from zero); multiplying by the
-    count reassociates that fold into a single scaled term.
-    """
-    return [_np.asarray(column, dtype=float) * float(count) for column in columns]
-
-
 def fold_rows(matrix):
     """Reassociated (pairwise-summed) fold along the last axis.
 

@@ -1,119 +1,44 @@
-"""Affine decomposition of packaging cost in the committed-KGD value.
+"""Packaging coefficients for the batch evaluators.
 
 Every assembly flow in the model (direct attach, carrier chip-last,
 carrier chip-first, 3D stacking) prices one assembly attempt as fixed
-spend plus the KGD value multiplied by an expected retry count, so
+spend plus the KGD value multiplied by an expected retry count, so each
+technology computes
 
-    packaging_cost(areas, kgd) = PackagingCost(A, B, w0 + kgd * k)
+    packaging_cost(areas, kgd) = PackagingCost(A, B, kgd * k)
 
-with ``A`` (raw package), ``B`` (package defects), ``w0`` (KGD waste at
-zero KGD value, zero for every built-in flow) and slope ``k`` depending
-only on the chip areas and the technology.  Probing the cost function at
-three KGD values recovers the coefficients and *verifies* the affine
-form, so a future nonlinear technology degrades to the exact path
-instead of silently producing wrong numbers.
+from its own :class:`~repro.packaging.base.PackagingAffine` coefficients
+``A`` (raw package), ``B`` (package defects) and ``k`` (retries), which
+depend only on the chip areas and the technology.  The batch paths ask
+for the coefficients once per (packager, areas) and re-price the KGD
+term themselves, bit-identically to the itemized cost, since both run
+the same multiply:
 
-Exactness note: every built-in flow computes its KGD waste as one
-multiply (``kgd * retries``, zero intercept), so the fitted
-reconstruction is bit-identical to the probed function.  A hypothetical
-flow affine only to within the probe tolerance (1e-9 relative) — e.g.
-one accumulating its slope across several products — would be accepted
-and reconstructed with last-ulp deviations; callers that price a first
-evaluation directly and later ones through the cached fit
-(``CostEngine``) could then see sub-1e-9 differences between the two.
-That stays inside every tolerance this project promises, and is why the
-probe tolerance is not looser.
-
-Batch workloads exploit this twice: the :class:`~repro.engine.costengine.
-CostEngine` caches one :class:`PackagingAffine` per (package, areas) and
-re-evaluates it per system for the cost of four float operations, and
-the closed-form Monte-Carlo path re-prices packaging per draw without
-touching the packaging object at all.
+* the :class:`~repro.engine.costengine.CostEngine` caches one
+  :class:`PackagingAffine` per (package, areas) and re-evaluates it per
+  system for the cost of four float operations;
+* the closed-form Monte-Carlo path re-prices packaging per draw without
+  touching the packaging object at all;
+* the design-space evaluator turns the coefficients into columns over
+  the module-area axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
-from repro.packaging.base import PackagingCost
-
-#: Relative tolerance of the affinity verification probe.
-_AFFINE_RTOL = 1e-9
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _AFFINE_RTOL * max(1.0, abs(a), abs(b))
-
-
-@dataclass(frozen=True)
-class PackagingAffine:
-    """Packaging cost as an affine function of the committed KGD value.
-
-    Attributes:
-        raw_package: The KGD-independent raw package spend, USD.
-        package_defects: The KGD-independent defect spend, USD.
-        wasted_intercept: KGD waste at zero KGD value (zero for every
-            built-in flow; kept for generality).
-        wasted_slope: Expected retries — KGD waste per USD of KGD value.
-    """
-
-    raw_package: float
-    package_defects: float
-    wasted_intercept: float
-    wasted_slope: float
-
-    def wasted_kgd(self, kgd_cost: float) -> float:
-        if self.wasted_intercept == 0.0:
-            # Mirror the assembly-flow arithmetic (kgd * retries) exactly
-            # so the affine path is bit-identical to the probed function.
-            return kgd_cost * self.wasted_slope
-        return self.wasted_intercept + kgd_cost * self.wasted_slope
-
-    def packaging_cost(self, kgd_cost: float) -> PackagingCost:
-        """Reconstruct the full itemization for one KGD value."""
-        return PackagingCost(
-            raw_package=self.raw_package,
-            package_defects=self.package_defects,
-            wasted_kgd=self.wasted_kgd(kgd_cost),
-        )
-
-    @property
-    def fixed_total(self) -> float:
-        """``raw_package + package_defects`` with the exact float
-        association used by :meth:`repro.core.breakdown.RECost.total`."""
-        return self.raw_package + self.package_defects
-
-    def total_with(self, kgd_cost: float) -> float:
-        """Packaging total (raw + defects + wasted) for one KGD value."""
-        return self.fixed_total + self.wasted_kgd(kgd_cost)
+from repro.core.package_design import PackageDesign
+from repro.packaging.base import IntegrationTech, PackagingAffine
 
 
 def linearize_packaging(
-    cost_fn: Callable[[float], PackagingCost],
-) -> PackagingAffine | None:
-    """Probe ``cost_fn`` (kgd -> PackagingCost) and fit the affine form.
+    packager: IntegrationTech | PackageDesign, chip_areas: Sequence[float]
+) -> PackagingAffine:
+    """The packaging coefficients of ``chip_areas`` in ``packager``.
 
-    Returns ``None`` when the probes are inconsistent with an affine
-    dependence (unknown future technology); callers must then fall back
-    to invoking the packaging function directly.
+    The lookup keeps its own module-level name, imported by every batch
+    evaluator, so a tracer can wrap it where each caller looks it up and
+    report the packaging layer separately
+    (``perfbench/wl_study.py --trace 1`` does exactly that).
     """
-    p0 = cost_fn(0.0)
-    p1 = cost_fn(1.0)
-    p2 = cost_fn(2.0)
-    slope = p1.wasted_kgd - p0.wasted_kgd
-    affine = (
-        _close(p0.raw_package, p1.raw_package)
-        and _close(p0.raw_package, p2.raw_package)
-        and _close(p0.package_defects, p1.package_defects)
-        and _close(p0.package_defects, p2.package_defects)
-        and _close(p2.wasted_kgd, p0.wasted_kgd + 2.0 * slope)
-    )
-    if not affine:
-        return None
-    return PackagingAffine(
-        raw_package=p0.raw_package,
-        package_defects=p0.package_defects,
-        wasted_intercept=p0.wasted_kgd,
-        wasted_slope=slope,
-    )
+    return packager.packaging_affine(chip_areas)

@@ -1,6 +1,6 @@
 """Packaging and multi-chip integration technologies."""
 
-from repro.packaging.base import IntegrationTech, PackagingCost
+from repro.packaging.base import IntegrationTech, PackagingAffine, PackagingCost
 from repro.packaging.substrate import OrganicSubstrate
 from repro.packaging.assembly import (
     AssemblyFlow,
@@ -26,6 +26,7 @@ __all__ = [
     "TestedRECost",
     "compute_tested_re_cost",
     "IntegrationTech",
+    "PackagingAffine",
     "PackagingCost",
     "OrganicSubstrate",
     "AssemblyFlow",

@@ -13,8 +13,9 @@ Three flows are modelled:
   formed (InFO chip-first), so carrier fabrication losses also destroy
   KGDs.  This is the first line of Eq. (5).
 
-Every function returns a :class:`PackagingCost` with the paper's
-three-way itemization.
+Every function returns the :class:`PackagingAffine` coefficients of
+one attempt: fixed raw and defect spend plus the expected retry count
+that multiplies the committed KGD value (the paper's wasted KGD).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 
 from repro.errors import InvalidParameterError
-from repro.packaging.base import PackagingCost
+from repro.packaging.base import PackagingAffine
 
 
 class AssemblyFlow(enum.Enum):
@@ -48,8 +49,7 @@ def direct_attach_cost(
     n_chips: int,
     chip_attach_yield: float,
     final_yield: float,
-    kgd_cost: float,
-) -> PackagingCost:
+) -> PackagingAffine:
     """SoC/MCM flow: chips attach directly to the substrate.
 
     One assembly attempt spends the substrate, the assembly fee and the
@@ -58,7 +58,6 @@ def direct_attach_cost(
     """
     _check_nonneg(substrate_cost, "substrate cost")
     _check_nonneg(assembly_fee, "assembly fee")
-    _check_nonneg(kgd_cost, "KGD cost")
     _check_yield(chip_attach_yield, "chip attach yield")
     _check_yield(final_yield, "final yield")
     if n_chips < 1:
@@ -67,10 +66,8 @@ def direct_attach_cost(
     success = chip_attach_yield**n_chips * final_yield
     retries = 1.0 / success - 1.0
     raw = substrate_cost + assembly_fee
-    return PackagingCost(
-        raw_package=raw,
-        package_defects=raw * retries,
-        wasted_kgd=kgd_cost * retries,
+    return PackagingAffine(
+        raw_package=raw, package_defects=raw * retries, wasted_slope=retries
     )
 
 
@@ -82,8 +79,7 @@ def carrier_chip_last_cost(
     n_chips: int,
     chip_attach_yield: float,
     carrier_attach_yield: float,
-    kgd_cost: float,
-) -> PackagingCost:
+) -> PackagingAffine:
     """Eq. (4): chip-last flow on a carrier (RDL / silicon interposer).
 
     Args:
@@ -94,13 +90,11 @@ def carrier_chip_last_cost(
         n_chips: Number of chips bonded to the carrier.
         chip_attach_yield: y2, per-chip bonding yield on the carrier.
         carrier_attach_yield: y3, carrier-to-substrate bonding yield.
-        kgd_cost: Total KGD cost committed per attempt.
     """
     _check_nonneg(carrier_cost, "carrier cost")
     _check_yield(carrier_yield, "carrier yield")
     _check_nonneg(substrate_cost, "substrate cost")
     _check_nonneg(assembly_fee, "assembly fee")
-    _check_nonneg(kgd_cost, "KGD cost")
     _check_yield(chip_attach_yield, "chip attach yield")
     _check_yield(carrier_attach_yield, "carrier attach yield")
     if n_chips < 1:
@@ -113,12 +107,12 @@ def carrier_chip_last_cost(
     raw = carrier_cost + substrate_cost + assembly_fee
     carrier_defects = carrier_cost * (1.0 / (y1 * y2n * y3) - 1.0)
     substrate_defects = substrate_cost * (1.0 / y3 - 1.0)
-    assembly_defects = assembly_fee * (1.0 / (y2n * y3) - 1.0)
-    wasted = kgd_cost * (1.0 / (y2n * y3) - 1.0)
-    return PackagingCost(
+    retries = 1.0 / (y2n * y3) - 1.0
+    return PackagingAffine(
         raw_package=raw,
-        package_defects=carrier_defects + substrate_defects + assembly_defects,
-        wasted_kgd=wasted,
+        package_defects=carrier_defects + substrate_defects
+        + assembly_fee * retries,
+        wasted_slope=retries,
     )
 
 
@@ -130,8 +124,7 @@ def carrier_chip_first_cost(
     n_chips: int,
     chip_attach_yield: float,
     carrier_attach_yield: float,
-    kgd_cost: float,
-) -> PackagingCost:
+) -> PackagingAffine:
     """Eq. (5), chip-first: KGDs committed before carrier formation.
 
     The whole stack (chips + carrier + fee) must survive carrier
@@ -143,7 +136,6 @@ def carrier_chip_first_cost(
     _check_yield(carrier_yield, "carrier yield")
     _check_nonneg(substrate_cost, "substrate cost")
     _check_nonneg(assembly_fee, "assembly fee")
-    _check_nonneg(kgd_cost, "KGD cost")
     _check_yield(chip_attach_yield, "chip attach yield")
     _check_yield(carrier_attach_yield, "carrier attach yield")
     if n_chips < 1:
@@ -155,8 +147,8 @@ def carrier_chip_first_cost(
     raw = carrier_cost + substrate_cost + assembly_fee
     retries = 1.0 / chain - 1.0
     substrate_defects = substrate_cost * (1.0 / carrier_attach_yield - 1.0)
-    return PackagingCost(
+    return PackagingAffine(
         raw_package=raw,
         package_defects=(carrier_cost + assembly_fee) * retries + substrate_defects,
-        wasted_kgd=kgd_cost * retries,
+        wasted_slope=retries,
     )

@@ -20,7 +20,7 @@ from repro.packaging.assembly import (
     carrier_chip_first_cost,
     carrier_chip_last_cost,
 )
-from repro.packaging.base import IntegrationTech, PackagingCost
+from repro.packaging.base import IntegrationTech, PackagingAffine
 from repro.packaging.substrate import OrganicSubstrate
 from repro.process.catalog import get_node
 from repro.process.node import ProcessNode
@@ -78,12 +78,11 @@ class InFO(IntegrationTech):
         cost = die_cost(spec)
         return cost.raw, cost.die_yield
 
-    def packaging_cost(
+    def packaging_affine(
         self,
         chip_areas: Sequence[float],
-        kgd_cost: float,
         sized_for: Sequence[float] | None = None,
-    ) -> PackagingCost:
+    ) -> PackagingAffine:
         self._check_chip_areas(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
         rdl_raw, rdl_yield = self._rdl_cost_and_yield(sizing)
@@ -101,7 +100,6 @@ class InFO(IntegrationTech):
             n_chips=len(chip_areas),
             chip_attach_yield=self.chip_attach_yield,
             carrier_attach_yield=self.carrier_attach_yield,
-            kgd_cost=kgd_cost,
         )
 
     def package_nre(self, chip_areas: Sequence[float]) -> float:

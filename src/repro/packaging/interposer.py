@@ -18,7 +18,7 @@ from repro.packaging.assembly import (
     carrier_chip_first_cost,
     carrier_chip_last_cost,
 )
-from repro.packaging.base import IntegrationTech, PackagingCost
+from repro.packaging.base import IntegrationTech, PackagingAffine
 from repro.packaging.substrate import OrganicSubstrate
 from repro.process.catalog import get_node
 from repro.process.node import ProcessNode
@@ -80,12 +80,11 @@ class Interposer25D(IntegrationTech):
         cost = die_cost(spec)
         return cost.raw, cost.die_yield
 
-    def packaging_cost(
+    def packaging_affine(
         self,
         chip_areas: Sequence[float],
-        kgd_cost: float,
         sized_for: Sequence[float] | None = None,
-    ) -> PackagingCost:
+    ) -> PackagingAffine:
         self._check_chip_areas(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
         interposer_raw, interposer_yield = self._interposer_cost_and_yield(sizing)
@@ -103,7 +102,6 @@ class Interposer25D(IntegrationTech):
             n_chips=len(chip_areas),
             chip_attach_yield=self.chip_attach_yield,
             carrier_attach_yield=self.carrier_attach_yield,
-            kgd_cost=kgd_cost,
         )
 
     def package_nre(self, chip_areas: Sequence[float]) -> float:

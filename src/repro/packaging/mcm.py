@@ -14,7 +14,7 @@ from typing import Sequence
 from repro.data.packaging_costs import PACKAGING_DEFAULTS
 from repro.errors import InvalidParameterError
 from repro.packaging.assembly import direct_attach_cost
-from repro.packaging.base import IntegrationTech, PackagingCost
+from repro.packaging.base import IntegrationTech, PackagingAffine
 from repro.packaging.substrate import OrganicSubstrate
 
 
@@ -47,12 +47,11 @@ class MCM(IntegrationTech):
         self._check_chip_areas(chip_areas)
         return sum(chip_areas) * self.substrate_area_factor
 
-    def packaging_cost(
+    def packaging_affine(
         self,
         chip_areas: Sequence[float],
-        kgd_cost: float,
         sized_for: Sequence[float] | None = None,
-    ) -> PackagingCost:
+    ) -> PackagingAffine:
         self._check_chip_areas(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
         area = sum(sizing) * self.substrate_area_factor
@@ -62,7 +61,6 @@ class MCM(IntegrationTech):
             n_chips=len(chip_areas),
             chip_attach_yield=self.chip_attach_yield,
             final_yield=self.final_yield,
-            kgd_cost=kgd_cost,
         )
 
     def package_nre(self, chip_areas: Sequence[float]) -> float:

@@ -8,7 +8,7 @@ from typing import Sequence
 from repro.data.packaging_costs import PACKAGING_DEFAULTS
 from repro.errors import InvalidParameterError
 from repro.packaging.assembly import direct_attach_cost
-from repro.packaging.base import IntegrationTech, PackagingCost
+from repro.packaging.base import IntegrationTech, PackagingAffine
 from repro.packaging.substrate import OrganicSubstrate
 
 
@@ -47,21 +47,23 @@ class SoCPackage(IntegrationTech):
     def max_chips(self) -> int | None:
         return 1
 
-    def package_area(self, chip_areas: Sequence[float]) -> float:
+    def _check_one_die(self, chip_areas: Sequence[float]) -> None:
         self._check_chip_areas(chip_areas)
         if len(chip_areas) != 1:
             raise InvalidParameterError(
                 f"an SoC package holds exactly one die, got {len(chip_areas)}"
             )
+
+    def package_area(self, chip_areas: Sequence[float]) -> float:
+        self._check_one_die(chip_areas)
         return chip_areas[0] * self.substrate_area_factor
 
-    def packaging_cost(
+    def packaging_affine(
         self,
         chip_areas: Sequence[float],
-        kgd_cost: float,
         sized_for: Sequence[float] | None = None,
-    ) -> PackagingCost:
-        self._check_chip_areas(chip_areas)
+    ) -> PackagingAffine:
+        self._check_one_die(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
         area = sum(sizing) * self.substrate_area_factor
         return direct_attach_cost(
@@ -70,7 +72,6 @@ class SoCPackage(IntegrationTech):
             n_chips=1,
             chip_attach_yield=self.chip_attach_yield,
             final_yield=self.final_yield,
-            kgd_cost=kgd_cost,
         )
 
     def package_nre(self, chip_areas: Sequence[float]) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import InvalidParameterError
-from repro.packaging.base import IntegrationTech, PackagingCost
+from repro.packaging.base import IntegrationTech, PackagingAffine
 from repro.packaging.substrate import OrganicSubstrate
 
 #: Default parameters (documented public estimates, same spirit as
@@ -103,12 +103,11 @@ class Stacked3D(IntegrationTech):
         base, _stacked = self._split_base(chip_areas)
         return base * self.substrate_area_factor
 
-    def packaging_cost(
+    def packaging_affine(
         self,
         chip_areas: Sequence[float],
-        kgd_cost: float,
         sized_for: Sequence[float] | None = None,
-    ) -> PackagingCost:
+    ) -> PackagingAffine:
         self.check_stackable(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
         base, _ = self._split_base(sizing)
@@ -122,11 +121,11 @@ class Stacked3D(IntegrationTech):
         # succeeds when all stack bonds and the final attach succeed.
         chain = self.stack_bond_yield**n_stacked * self.final_yield
         retries = 1.0 / chain - 1.0
-        return PackagingCost(
+        return PackagingAffine(
             raw_package=raw,
             package_defects=(tsv_cost + self.fixed_assembly_cost) * retries
             + substrate_cost * (1.0 / self.final_yield - 1.0),
-            wasted_kgd=kgd_cost * retries,
+            wasted_slope=retries,
         )
 
     def package_nre(self, chip_areas: Sequence[float]) -> float:

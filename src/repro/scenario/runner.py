@@ -558,7 +558,6 @@ def _run_search(
         registries=registries,
         die_cost_fn=runner._die_cost_override(registries, study),
         context=study.name,
-        precision=study.precision,
     )
     table = Table(
         ["design", "set", "total/unit", "RE/unit", "NRE total",

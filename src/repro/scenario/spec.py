@@ -224,12 +224,10 @@ class SearchStudy:
     include_soc: bool = True
     test_cost: Mapping[str, Any] | None = None
     batch_size: int = 4096
-    precision: str = "exact"
     yield_model: str = ""
     wafer_geometry: str = ""
 
     def __post_init__(self) -> None:
-        _check_precision(self)
         self.space()  # validate the axes eagerly, with study context
 
     def space(self):

@@ -125,7 +125,6 @@ def run_search(
     registries: ConfigRegistries | None = None,
     die_cost_fn: DieCostFn | None = None,
     context: str = "search",
-    precision: str = "exact",
 ) -> SearchResult:
     """Explore ``space`` and return its Pareto frontier plus top-k.
 
@@ -138,15 +137,12 @@ def run_search(
             :meth:`repro.config.ConfigRegistries.die_cost_fn`).
         context: Prefix for name-resolution errors (the study name when
             run from a scenario).
-        precision: Evaluation tier (``"exact"`` | ``"fast"``) — see
-            PERFORMANCE.md "Precision tiers".
     """
     evaluator = SpaceEvaluator(
         space,
         registries=registries,
         die_cost_fn=die_cost_fn,
         context=context,
-        precision=precision,
     )
     test_enabled = evaluator.test_model is not None
     accumulator = FrontierAccumulator()

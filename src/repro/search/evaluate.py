@@ -17,11 +17,11 @@ arguments:
   the last ulp.  A registry die-cost override (named yield model /
   wafer geometry) is priced through the override callable per unique
   die instead — same calls the oracle makes.
-* **Packaging** — one affine decomposition per (technology, count,
-  area) via :func:`~repro.engine.packaging_affine.linearize_packaging`,
-  shared across the node axis; the reconstruction is bit-identical to
-  calling the flow (see the exactness note in that module).  A
-  non-affine technology falls back to direct per-candidate calls.
+* **Packaging** — the technology's packaging coefficients per
+  (technology, count, area) via
+  :func:`~repro.engine.packaging_affine.linearize_packaging`, shared
+  across the node axis; the KGD waste column is the same ``kgd *
+  retries`` multiply the technology's own itemized cost makes.
 * **Accumulation order** — per-chip sums replicate the
   ``compute_re_cost`` / ``compute_system_nre`` loops exactly (n
   repeated additions from zero; ``x * 1 == x``), and every composite
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.config import ConfigRegistries
-from repro.engine import fasttier
 from repro.engine.packaging_affine import linearize_packaging
 from repro.errors import ConfigError, InvalidParameterError, RegistryError
 from repro.packaging.base import IntegrationTech
@@ -99,17 +98,10 @@ class SpaceEvaluator:
         registries: ConfigRegistries | None = None,
         die_cost_fn: DieCostFn | None = None,
         context: str = "search",
-        precision: str = "exact",
     ):
         registries = registries if registries is not None else ConfigRegistries()
         self.space = space
         self.die_cost_fn = die_cost_fn
-        #: ``"exact"`` keeps every column bit-identical to the oracle;
-        #: ``"fast"`` routes the die-yield transcendental
-        #: and the per-chip accumulations through the relaxed-parity
-        #: kernels of ``repro.engine.fasttier`` (bounded relative
-        #: error; falls back to the exact scalar path without numpy).
-        self.precision = fasttier.validate_precision(precision)
         self.test_model = space.test_model()
         try:
             self.nodes = {
@@ -189,24 +181,21 @@ class SpaceEvaluator:
             share = chip_areas
         chiplet = not soc and fraction > 0.0
         if self.die_cost_fn is None:
-            die = _die_columns_default(node, chip_areas, self.precision)
+            die = _die_columns_default(node, chip_areas)
             die_default = die
         else:
             die = _die_columns_override(node, chip_areas, self.die_cost_fn)
             die_default = (
-                _die_columns_default(node, chip_areas, self.precision)
+                _die_columns_default(node, chip_areas)
                 if self.test_model is not None
                 else None
             )
         raw_chips, chip_defects, kgd, silicon = _accumulate(
-            count, die.raw, die.defect, die.total, chip_areas,
-            precision=self.precision,
+            count, die.raw, die.defect, die.total, chip_areas
         )
         module_unit = _scale(share, node.km_per_mm2)
         chip_unit = _axpb(chip_areas, node.kc_per_mm2, node.fixed_chip_nre)
-        modules_nre, chips_nre = _accumulate(
-            count, module_unit, chip_unit, precision=self.precision
-        )
+        modules_nre, chips_nre = _accumulate(count, module_unit, chip_unit)
         d2d_total = node.d2d_interface_nre if chiplet else 0
         factor = 1.0 / space.quantity
         d2d_amortized = d2d_total * factor
@@ -217,22 +206,15 @@ class SpaceEvaluator:
                 count, chiplet, chip_areas, die_default
             )
 
+        chips_total = _add(raw_chips, chip_defects)
         for name, pack in packs.items():
-            # wasted() first: a non-affine technology patches its fixed
-            # package columns during the direct calls it makes here.
-            wasted = _column(pack.wasted(kgd))
-            fixed = _add(
-                _column(pack.raw_package), _column(pack.package_defects)
-            )
-            re_total = _add(
-                _add(raw_chips, chip_defects), _add(fixed, wasted)
-            )
+            re_total = _add(chips_total, _add(pack.fixed, pack.wasted(kgd)))
             nre_unit = _shift(
                 _add(
                     _add(
                         _scale(modules_nre, factor), _scale(chips_nre, factor)
                     ),
-                    _scale(_column(pack.nre), factor),
+                    _scale(pack.nre, factor),
                 ),
                 d2d_amortized,
             )
@@ -241,11 +223,11 @@ class SpaceEvaluator:
                 "nre": _scale(nre_unit, space.quantity),
                 "total": _add(re_total, nre_unit),
                 "silicon_area": silicon,
-                "footprint": _column(pack.footprint),
+                "footprint": pack.footprint,
             }
             if test is not None:
                 sort_total, chips_total_default, kgd_default = test
-                wasted_default = _column(pack.wasted(kgd_default))
+                wasted_default = pack.wasted(kgd_default)
                 attempts = _attempts(chips_total_default, wasted_default)
                 package_test = _scale(
                     attempts, self.test_model.package_test_seconds
@@ -271,12 +253,10 @@ class SpaceEvaluator:
             seconds = _scale(seconds, model.kgd_multiplier)
         sort_unit = _scale(seconds, per_second)
         per_good = _div(sort_unit, die_default.die_yield)
-        (sort_total,) = _accumulate(
-            count, per_good, precision=self.precision
-        )
+        (sort_total,) = _accumulate(count, per_good)
         raw_default, defect_default, kgd_default, _unused = _accumulate(
             count, die_default.raw, die_default.defect, die_default.total,
-            chip_areas, precision=self.precision,
+            chip_areas,
         )
         chips_total_default = _add(raw_default, defect_default)
         return sort_total, chips_total_default, kgd_default
@@ -295,14 +275,10 @@ class _DieColumns:
     die_yield: Sequence[float]
 
 
-def _die_columns_default(
-    node: ProcessNode, chip_areas, precision: str = "exact"
-) -> _DieColumns:
+def _die_columns_default(node: ProcessNode, chip_areas) -> _DieColumns:
     """Closed form of ``die_cost`` under the node-default geometry and
     negative-binomial model (the exact expressions, in the exact order,
-    of ``WaferGeometry.dies_per_wafer`` and ``NegativeBinomialYield``).
-    ``precision != "exact"`` swaps the per-element libm ``pow`` for the
-    fast tier's SIMD ``power`` (bounded relative error)."""
+    of ``WaferGeometry.dies_per_wafer`` and ``NegativeBinomialYield``)."""
     usable = node.wafer_diameter - 2.0 * 0.0
     gross_factor = math.pi * (usable / 2.0) ** 2
     edge_factor = math.pi * usable
@@ -317,14 +293,10 @@ def _die_columns_default(
             _die_too_large(float(table[small][0]), node)
         defects = (node.defect_density * table) / 100.0
         bases = 1.0 + defects / node.cluster_param
-        if precision != "exact":
-            die_yield = fasttier.power_column(bases, exponent)
-        else:
-            # libm pow per element, never numpy's SIMD power
-            # (last-ulp parity)
-            die_yield = _np.array(
-                [base ** exponent for base in bases.tolist()], dtype=float
-            )
+        # libm pow per element, never numpy's SIMD power (last-ulp parity)
+        die_yield = _np.array(
+            [base ** exponent for base in bases.tolist()], dtype=float
+        )
         raw = node.wafer_price / dies
         total = raw / die_yield
         return _DieColumns(raw, total - raw, total, die_yield)
@@ -379,78 +351,32 @@ def _die_columns_override(
 class _PackColumns:
     """Per-area packaging columns of one (technology, count) pairing.
 
-    One affine decomposition (plus footprint and package NRE) per area;
-    the KGD-dependent waste re-evaluates per node from the shared
-    coefficients.  Non-affine technologies (or a nonzero waste
-    intercept) drop to exact per-candidate calls.
+    One set of packaging coefficients (plus footprint and package NRE)
+    per area: ``fixed`` is raw package plus package defects, and the
+    KGD-dependent waste re-evaluates per node from the shared retry
+    slopes.
     """
 
     def __init__(self, technology: IntegrationTech, count: int, chip_areas):
-        self._entries = []
-        footprint, nre, slopes = [], [], []
-        vectorizable = _np is not None
-        for area in (_tolist(chip_areas)):
+        fixed, slopes, footprint, nre = [], [], [], []
+        for area in _tolist(chip_areas):
             chips = (area,) * count
-            def cost_fn(kgd, t=technology, chips=chips):
-                return t.packaging_cost(chips, kgd)
-            affine = linearize_packaging(cost_fn)
-            self._entries.append((affine, cost_fn))
+            affine = linearize_packaging(technology, chips)
+            fixed.append(affine.fixed_total)
+            slopes.append(affine.wasted_slope)
             footprint.append(technology.package_area(chips))
             nre.append(technology.package_nre(chips))
-            if affine is None or affine.wasted_intercept != 0.0:
-                vectorizable = False
-            else:
-                slopes.append(affine.wasted_slope)
-        self.footprint = footprint
-        if vectorizable:
-            self._slopes = _np.asarray(slopes, dtype=float)
-            self.raw_package = _np.asarray(
-                [entry[0].raw_package for entry in self._entries], dtype=float
-            )
-            self.package_defects = _np.asarray(
-                [entry[0].package_defects for entry in self._entries],
-                dtype=float,
-            )
-            self.nre = _np.asarray(nre, dtype=float)
-        else:
-            self._slopes = None
-            self.raw_package = [
-                affine.raw_package if affine is not None
-                else None
-                for affine, _fn in self._entries
-            ]
-            self.package_defects = [
-                affine.package_defects if affine is not None
-                else None
-                for affine, _fn in self._entries
-            ]
-            self.nre = nre
+        self.fixed = _column(fixed)
+        self.footprint = _column(footprint)
+        self.nre = _column(nre)
+        self._slopes = _column(slopes)
 
     def wasted(self, kgd_values):
-        """KGD waste per area for this pass's committed-KGD values.
-
-        The vector path is ``kgd * slope`` — the zero-intercept
-        ``PackagingAffine.wasted_kgd`` arithmetic, elementwise.
-        """
-        if self._slopes is not None:
+        """KGD waste per area for this pass's committed-KGD values —
+        the ``PackagingAffine.wasted_kgd`` arithmetic, elementwise."""
+        if _np is not None:
             return kgd_values * self._slopes
-        wasted = []
-        for position, ((affine, cost_fn), kgd) in enumerate(
-            zip(self._entries, kgd_values)
-        ):
-            if affine is not None:
-                wasted.append(affine.wasted_kgd(kgd))
-            else:
-                cost = cost_fn(kgd)
-                wasted.append(cost.wasted_kgd)
-                self._patch_direct(position, cost)
-        return wasted
-
-    def _patch_direct(self, position: int, cost) -> None:
-        """Adopt a direct call's fixed components for a non-affine
-        technology (they may depend on the KGD value there)."""
-        self.raw_package[position] = cost.raw_package
-        self.package_defects[position] = cost.package_defects
+        return [kgd * slope for kgd, slope in zip(kgd_values, self._slopes)]
 
 
 # ----------------------------------------------------------------------
@@ -479,14 +405,11 @@ def _soc_chip_areas(module_areas: list):
     return list(module_areas)
 
 
-def _accumulate(count: int, *columns, precision: str = "exact"):
+def _accumulate(count: int, *columns):
     """``count`` repeated additions of each column from zero — the
     per-unique-chip accumulation loops of ``compute_re_cost`` /
     ``compute_system_nre`` (count instances of x accumulate as n
-    additions, and ``x * 1 == x`` exactly).  The fast tier collapses
-    the fold to one reassociated multiply."""
-    if _np is not None and precision != "exact":
-        return fasttier.scaled_accumulate(count, *columns)
+    additions, and ``x * 1 == x`` exactly)."""
     if _np is not None:
         totals = [_np.zeros(len(column)) for column in columns]
         for _ in range(count):
@@ -503,9 +426,9 @@ def _accumulate(count: int, *columns, precision: str = "exact"):
     return totals
 
 
-def _column(values):
-    """Normalize a per-area column for elementwise arithmetic (numpy
-    array when available — non-affine packs hand back plain lists)."""
+def _column(values: list):
+    """A per-area column for elementwise arithmetic (numpy array when
+    available, the plain list otherwise)."""
     if _np is not None:
         return _np.asarray(values, dtype=float)
     return values

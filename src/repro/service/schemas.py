@@ -393,11 +393,8 @@ class SearchRequest:
     space: Any  # DesignSpace
     yield_model: str = ""
     wafer_geometry: str = ""
-    precision: str | None = None
 
-    _FIELDS = frozenset(
-        {"space", "yield_model", "wafer_geometry", "precision"}
-    )
+    _FIELDS = frozenset({"space", "yield_model", "wafer_geometry"})
 
     @classmethod
     def from_dict(cls, payload: Any) -> "SearchRequest":
@@ -409,11 +406,6 @@ class SearchRequest:
             raise InvalidParameterError(
                 "search request needs a 'space' field"
             )
-        precision = payload.get("precision")
-        if precision is not None and not isinstance(precision, str):
-            raise InvalidParameterError(
-                "search request precision must be a string or null"
-            )
         return cls(
             space=space_from_dict(
                 _require_mapping(payload["space"], "search request space")
@@ -422,7 +414,6 @@ class SearchRequest:
             wafer_geometry=_string(
                 payload, "wafer_geometry", "", "search request"
             ),
-            precision=precision,
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -433,8 +424,6 @@ class SearchRequest:
             payload["yield_model"] = self.yield_model
         if self.wafer_geometry:
             payload["wafer_geometry"] = self.wafer_geometry
-        if self.precision is not None:
-            payload["precision"] = self.precision
         return payload
 
     def canonical(self) -> str:

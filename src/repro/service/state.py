@@ -224,9 +224,6 @@ class ServiceState:
                 request.space,
                 die_cost_fn=resolve_die_cost_fn(request, "search"),
                 context="search",
-                precision=(
-                    "exact" if request.precision is None else request.precision
-                ),
             )
         return SearchRunResult(
             n_candidates=result.n_candidates,

@@ -86,56 +86,3 @@ def assert_sequences_close(
             component, metric, f, e, index=index, tol=tol
         )
 
-
-def assert_frontier_preserved(
-    component: str,
-    exact_result,
-    fast_result,
-    eps: float,
-) -> None:
-    """Frontier membership preserved up to tolerance ties.
-
-    A candidate may legitimately enter or leave the frontier when two
-    designs tie within the fast tier's error bound; what must *never*
-    happen is a symmetric-difference member that is strongly dominated
-    (some other candidate beats it by more than ``eps`` relative on
-    every objective) under the tier that kept it out.  O(n^2) over the
-    small generated spaces.
-    """
-    exact_by_index = {c.index: c for c in exact_result.frontier}
-    fast_by_index = {c.index: c for c in fast_result.frontier}
-    objectives = exact_result.objectives
-
-    def strongly_dominated(candidate, others) -> "object | None":
-        vector = candidate.objective_vector(objectives)
-        for other in others:
-            if other.index == candidate.index:
-                continue
-            other_vector = other.objective_vector(objectives)
-            if all(
-                o <= v - eps * max(abs(v), 1.0)
-                for o, v in zip(other_vector, vector)
-            ):
-                return other
-        return None
-
-    for index in exact_by_index.keys() - fast_by_index.keys():
-        dominator = strongly_dominated(
-            exact_by_index[index], fast_result.frontier
-        )
-        assert dominator is None, (
-            f"{component}: candidate #{index} is on the exact frontier but "
-            f"strongly dominated (eps={eps:.1e}) by candidate "
-            f"#{dominator.index} in the fast result — more than a "
-            "tolerance tie"
-        )
-    for index in fast_by_index.keys() - exact_by_index.keys():
-        dominator = strongly_dominated(
-            fast_by_index[index], exact_result.frontier
-        )
-        assert dominator is None, (
-            f"{component}: candidate #{index} is on the fast frontier but "
-            f"strongly dominated (eps={eps:.1e}) by candidate "
-            f"#{dominator.index} in the exact result — more than a "
-            "tolerance tie"
-        )

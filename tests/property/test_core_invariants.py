@@ -148,17 +148,16 @@ class TestAssemblyProperties:
             n_chips=n,
             chip_attach_yield=y2,
             carrier_attach_yield=y3,
-            kgd_cost=kgd,
         )
-        first = carrier_chip_first_cost(**kwargs)
-        last = carrier_chip_last_cost(**kwargs)
+        first = carrier_chip_first_cost(**kwargs).packaging_cost(kgd)
+        last = carrier_chip_last_cost(**kwargs).packaging_cost(kgd)
         assert first.total >= last.total - 1e-9
 
     @given(y2=yields, y3=yields,
            n=st.integers(min_value=1, max_value=8),
            kgd=st.floats(min_value=0.0, max_value=1e4))
     def test_direct_attach_components_nonnegative(self, y2, y3, n, kgd):
-        cost = direct_attach_cost(50.0, 10.0, n, y2, y3, kgd)
+        cost = direct_attach_cost(50.0, 10.0, n, y2, y3).packaging_cost(kgd)
         assert cost.raw_package >= 0
         assert cost.package_defects >= 0
         assert cost.wasted_kgd >= 0
@@ -168,8 +167,8 @@ class TestAssemblyProperties:
            n2=st.integers(min_value=1, max_value=4))
     def test_waste_monotone_in_chip_count(self, kgd, n1, n2):
         low, high = sorted((n1, n2))
-        a = direct_attach_cost(50.0, 10.0, low, 0.99, 0.99, kgd)
-        b = direct_attach_cost(50.0, 10.0, high, 0.99, 0.99, kgd)
+        a = direct_attach_cost(50.0, 10.0, low, 0.99, 0.99).packaging_cost(kgd)
+        b = direct_attach_cost(50.0, 10.0, high, 0.99, 0.99).packaging_cost(kgd)
         assert b.wasted_kgd >= a.wasted_kgd - 1e-12
 
 

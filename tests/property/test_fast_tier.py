@@ -6,7 +6,6 @@ the bounds these properties enforce on generated inputs (200 examples
 per path, regardless of the Hypothesis profile):
 
 * ``fast`` within 1e-9 relative of the exact tier everywhere;
-* search frontier membership preserved up to tolerance ties;
 * without numpy, a fast ``precision`` degrades to the exact scalar
   path instead of erroring (bit-identical results).
 """
@@ -18,12 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import (
-    assert_bit_equal,
-    assert_frontier_preserved,
-    assert_sequences_close,
-    assert_sequences_equal,
-)
+from checks import assert_sequences_close, assert_sequences_equal
 from repro.engine import fastmc, fastportfolio, fasttier
 from repro.engine.costengine import CostEngine
 from repro.engine.fastmc import sample_re_costs
@@ -32,10 +26,8 @@ from repro.errors import ConfigError, InvalidParameterError
 from repro.explore.montecarlo import monte_carlo_cost
 from repro.explore.partition import soc_reference
 from repro.process.catalog import get_node
-from repro.search.engine import run_search
 from repro.scenario.spec import scenario_from_dict
-from repro.search.space import DesignSpace
-from strategies import design_spaces, portfolios, systems
+from strategies import portfolios, systems
 
 EXAMPLES = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -46,10 +38,8 @@ EXAMPLES = os.path.join(
 #: for live references to it finds none.
 REMOVED_TIER = "fast" + "32"
 
-#: (precision, relative-error tolerance, frontier-tie epsilon).
-TIERS = (("fast", 1e-9, 1e-6),)
-
-_SEARCH_METRICS = ("re", "nre", "total", "silicon_area", "footprint")
+#: (precision, relative-error tolerance).
+TIERS = (("fast", 1e-9),)
 
 
 @settings(max_examples=200)
@@ -58,7 +48,7 @@ _SEARCH_METRICS = ("re", "nre", "total", "silicon_area", "footprint")
        seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_fastmc_fast_tier_within_bounds(system, draws, sigma, seed):
     exact = sample_re_costs(system, draws=draws, sigma=sigma, seed=seed)
-    for precision, tol, _eps in TIERS:
+    for precision, tol in TIERS:
         fast = sample_re_costs(
             system, draws=draws, sigma=sigma, seed=seed, precision=precision
         )
@@ -68,40 +58,13 @@ def test_fastmc_fast_tier_within_bounds(system, draws, sigma, seed):
 
 
 @settings(max_examples=200)
-@given(space=design_spaces())
-def test_search_fast_tier_within_bounds(space):
-    exact = run_search(space)
-    for precision, tol, eps in TIERS:
-        fast = run_search(space, precision=precision)
-        assert_bit_equal(
-            f"run_search[{precision}]", "n_candidates",
-            fast.n_candidates, exact.n_candidates,
-        )
-        assert_frontier_preserved(
-            f"run_search[{precision}]", exact, fast, eps
-        )
-        shared = {c.index: c for c in exact.frontier}
-        for candidate in fast.frontier:
-            match = shared.get(candidate.index)
-            if match is None:
-                continue  # tolerance tie, already vetted above
-            assert_sequences_close(
-                f"run_search[{precision}]",
-                f"frontier_metrics[#{candidate.index}]",
-                [getattr(candidate, metric) for metric in _SEARCH_METRICS],
-                [getattr(match, metric) for metric in _SEARCH_METRICS],
-                tol,
-            )
-
-
-@settings(max_examples=200)
 @given(portfolio=portfolios(),
        scales=st.lists(st.floats(min_value=0.1, max_value=10.0),
                        min_size=1, max_size=3))
 def test_portfolio_fast_tier_within_bounds(portfolio, scales):
     engine = PortfolioEngine(CostEngine())
     exact = engine.volume_solve(portfolio, scales)
-    for precision, tol, _eps in TIERS:
+    for precision, tol in TIERS:
         fast = engine.volume_solve(portfolio, scales, precision=precision)
         for index in range(len(exact.scales)):
             assert_sequences_close(
@@ -162,11 +125,6 @@ def test_invalid_precision_rejected_everywhere():
     system = soc_reference(200.0, get_node("7nm"))
     with pytest.raises(InvalidParameterError):
         CostEngine().monte_carlo(system, draws=2, precision="quick")
-    with pytest.raises(InvalidParameterError):
-        run_search(
-            DesignSpace(module_areas=(200.0,), nodes=("7nm",)),
-            precision=REMOVED_TIER,
-        )
 
 
 @given(system=systems())
@@ -176,13 +134,27 @@ def test_monte_carlo_cost_rejects_invalid_precision(system):
         monte_carlo_cost(system, draws=2, precision="double")
 
 
-@pytest.mark.parametrize("index", [0, 1])
+def _example(name: str) -> dict:
+    with open(os.path.join(EXAMPLES, name)) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("index", [0])
 def test_scenario_rejects_removed_float32_tier(index):
     """The removed float32 tier is not a tier: a study asking for it is
     a typed ``ConfigError`` naming the study, not a silent fallback."""
-    with open(os.path.join(EXAMPLES, "scenario_fast_tier.json")) as handle:
-        document = json.load(handle)
+    document = _example("scenario_fast_tier.json")
     study = document["studies"][index]
     study["precision"] = REMOVED_TIER
     with pytest.raises(ConfigError, match=f"{study['name']}.*{REMOVED_TIER}"):
+        scenario_from_dict(document)
+
+
+def test_search_study_has_no_precision_tier():
+    """Search evaluates on the exact tier only: a search study that
+    still asks for a tier fails as an unknown key."""
+    document = _example("scenario_search.json")
+    search = next(s for s in document["studies"] if s["kind"] == "search")
+    search["precision"] = "fast"
+    with pytest.raises(ConfigError, match=r"search.*unknown keys \['precision'\]"):
         scenario_from_dict(document)

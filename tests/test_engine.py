@@ -183,9 +183,7 @@ class TestPackagingAffine:
         for system in _systems():
             packager = system.package or system.integration
             areas = system.chip_areas
-            affine = linearize_packaging(
-                lambda kgd: packager.packaging_cost(areas, kgd)
-            )
+            affine = linearize_packaging(packager, areas)
             assert affine is not None
             for kgd in (0.0, 17.5, 1234.0):
                 direct = packager.packaging_cost(areas, kgd)
@@ -193,16 +191,6 @@ class TestPackagingAffine:
                 assert fitted.raw_package == direct.raw_package
                 assert fitted.package_defects == direct.package_defects
                 assert fitted.wasted_kgd == direct.wasted_kgd
-
-    def test_nonlinear_function_is_rejected(self):
-        from repro.packaging.base import PackagingCost
-
-        def quadratic(kgd: float) -> PackagingCost:
-            return PackagingCost(
-                raw_package=1.0, package_defects=1.0, wasted_kgd=kgd * kgd
-            )
-
-        assert linearize_packaging(quadratic) is None
 
 
 class TestFastMonteCarlo:

@@ -78,18 +78,6 @@ class TestBitParity:
 
 
 class TestGuards:
-    def test_batch_without_affine_rejected(self):
-        system = partition_monolith(500.0, get_node("7nm"), 2, mcm())
-        plan = MonteCarloPlan.compile(system)
-        broken = MonteCarloPlan(
-            node_names=plan.node_names,
-            terms=plan.terms,
-            affine=None,
-            system=plan.system,
-        )
-        with pytest.raises(InvalidParameterError):
-            broken.evaluate_batch([[1.0]])
-
     def test_zero_draws_rejected(self):
         with pytest.raises(InvalidParameterError):
             sample_re_costs(soc_reference(100.0, get_node("7nm")), draws=0)

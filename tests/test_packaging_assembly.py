@@ -19,34 +19,35 @@ class TestDirectAttach:
             n_chips=2,
             chip_attach_yield=1.0,
             final_yield=1.0,
-            kgd_cost=400.0,
-        )
+        ).packaging_cost(400.0)
         assert cost.raw_package == 60.0
         assert cost.package_defects == 0.0
         assert cost.wasted_kgd == 0.0
 
     def test_hand_value(self):
-        cost = direct_attach_cost(50.0, 10.0, 2, 0.99, 0.99, 400.0)
+        cost = direct_attach_cost(50.0, 10.0, 2, 0.99, 0.99).packaging_cost(400.0)
         retries = 1.0 / (0.99**2 * 0.99) - 1.0
         assert cost.package_defects == pytest.approx(60.0 * retries)
         assert cost.wasted_kgd == pytest.approx(400.0 * retries)
 
     def test_waste_grows_with_chip_count(self):
         waste = [
-            direct_attach_cost(50.0, 10.0, n, 0.99, 0.99, 400.0).wasted_kgd
+            direct_attach_cost(50.0, 10.0, n, 0.99, 0.99)
+            .packaging_cost(400.0)
+            .wasted_kgd
             for n in (1, 2, 4, 8)
         ]
         assert waste == sorted(waste)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(InvalidParameterError):
-            direct_attach_cost(-1.0, 10.0, 1, 0.99, 0.99, 0.0)
+            direct_attach_cost(-1.0, 10.0, 1, 0.99, 0.99).packaging_cost(0.0)
         with pytest.raises(InvalidParameterError):
-            direct_attach_cost(50.0, 10.0, 0, 0.99, 0.99, 0.0)
+            direct_attach_cost(50.0, 10.0, 0, 0.99, 0.99).packaging_cost(0.0)
         with pytest.raises(InvalidParameterError):
-            direct_attach_cost(50.0, 10.0, 1, 0.0, 0.99, 0.0)
+            direct_attach_cost(50.0, 10.0, 1, 0.0, 0.99).packaging_cost(0.0)
         with pytest.raises(InvalidParameterError):
-            direct_attach_cost(50.0, 10.0, 1, 0.99, 1.2, 0.0)
+            direct_attach_cost(50.0, 10.0, 1, 0.99, 1.2).packaging_cost(0.0)
 
 
 class TestChipLast:
@@ -64,8 +65,7 @@ class TestChipLast:
             n_chips=n,
             chip_attach_yield=y2,
             carrier_attach_yield=y3,
-            kgd_cost=kgd,
-        )
+        ).packaging_cost(kgd)
         y2n = y2**n
         expected_defects = (
             carrier * (1.0 / (y1 * y2n * y3) - 1.0)
@@ -85,10 +85,9 @@ class TestChipLast:
             n_chips=2,
             chip_attach_yield=0.99,
             carrier_attach_yield=0.98,
-            kgd_cost=260.0,
         )
-        low = carrier_chip_last_cost(carrier_yield=0.4, **kwargs)
-        high = carrier_chip_last_cost(carrier_yield=0.9, **kwargs)
+        low = carrier_chip_last_cost(carrier_yield=0.4, **kwargs).packaging_cost(260.0)
+        high = carrier_chip_last_cost(carrier_yield=0.9, **kwargs).packaging_cost(260.0)
         assert low.wasted_kgd == pytest.approx(high.wasted_kgd)
         assert low.package_defects > high.package_defects
 
@@ -103,10 +102,9 @@ class TestChipFirst:
             n_chips=2,
             chip_attach_yield=0.99,
             carrier_attach_yield=0.98,
-            kgd_cost=260.0,
         )
-        first = carrier_chip_first_cost(**kwargs)
-        last = carrier_chip_last_cost(**kwargs)
+        first = carrier_chip_first_cost(**kwargs).packaging_cost(260.0)
+        last = carrier_chip_last_cost(**kwargs).packaging_cost(260.0)
         # The paper: chip-first "would result in a huge waste on KGDs".
         assert first.wasted_kgd > last.wasted_kgd
 
@@ -119,10 +117,9 @@ class TestChipFirst:
             n_chips=3,
             chip_attach_yield=0.99,
             carrier_attach_yield=0.98,
-            kgd_cost=260.0,
         )
-        first = carrier_chip_first_cost(**kwargs)
-        last = carrier_chip_last_cost(**kwargs)
+        first = carrier_chip_first_cost(**kwargs).packaging_cost(260.0)
+        last = carrier_chip_last_cost(**kwargs).packaging_cost(260.0)
         assert first.wasted_kgd == pytest.approx(last.wasted_kgd)
         assert first.total == pytest.approx(last.total)
 
@@ -137,10 +134,9 @@ class TestChipFirst:
                 n_chips=2,
                 chip_attach_yield=0.99,
                 carrier_attach_yield=0.98,
-                kgd_cost=260.0,
             )
-            first = carrier_chip_first_cost(**kwargs)
-            last = carrier_chip_last_cost(**kwargs)
+            first = carrier_chip_first_cost(**kwargs).packaging_cost(260.0)
+            last = carrier_chip_last_cost(**kwargs).packaging_cost(260.0)
             assert first.total >= last.total - 1e-9
 
 

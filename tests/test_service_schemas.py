@@ -226,7 +226,6 @@ class TestSearchSchemas:
             "d2d_fractions": [0.1],
         },
         "yield_model": "poisson",
-        "precision": "fast",
     }
 
     def test_round_trip(self):
@@ -236,8 +235,12 @@ class TestSearchSchemas:
         )
         assert again.space == request.space
         assert again.canonical() == request.canonical()
-        assert again.precision == "fast"
         assert again.yield_model == "poisson"
+
+    def test_precision_is_an_unknown_field(self):
+        # Search evaluates on the exact tier only.
+        with pytest.raises(InvalidParameterError, match="precision"):
+            SearchRequest.from_dict(dict(self.PAYLOAD, precision="fast"))
 
     def test_requires_space(self):
         with pytest.raises(InvalidParameterError, match="space"):
