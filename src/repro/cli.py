@@ -204,8 +204,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve(
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
         cache_size=args.cache_size,
     )
     return 0
@@ -834,16 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8321,
                        help="TCP port; 0 picks a free one (default: 8321)")
-    serve.add_argument(
-        "--max-batch", type=int, default=32,
-        help="most cost requests coalesced into one engine batch "
-        "(default: 32)",
-    )
-    serve.add_argument(
-        "--max-wait", type=float, default=0.005,
-        help="seconds the batcher waits for tick-mates after the first "
-        "request (default: 0.005)",
-    )
     serve.add_argument(
         "--cache-size", type=int, default=1024,
         help="response-cache entries; 0 disables caching (default: 1024)",

@@ -11,8 +11,9 @@ instead.  Five pieces (docs/SERVICE.md walks through them):
 * :mod:`repro.service.state` — the process-wide warm
   :class:`~repro.engine.costengine.CostEngine` behind an explicit lock
   discipline;
-* :mod:`repro.service.batching` — concurrent cost queries coalesce
-  into one ``evaluate_many`` call per tick, bit-identical to
+* :mod:`repro.service.batching` — one worker prices queued cost
+  queries: a lone request is dispatched at once, and whatever queued
+  while the worker was busy becomes one batch, bit-identical to
   sequential evaluation;
 * :mod:`repro.service.cache` — an LRU response cache keyed by
   canonical request value, invalidated when the registry hash changes;
@@ -38,7 +39,6 @@ _EXPORTS = {
     "ServiceState": "repro.service.state",
     "build_system": "repro.service.state",
     "evaluate_cost": "repro.service.state",
-    "evaluate_cost_batch": "repro.service.state",
     "CostBatcher": "repro.service.batching",
     "ResponseCache": "repro.service.cache",
     "CostServiceServer": "repro.service.app",

@@ -3,9 +3,10 @@
 Endpoints (all JSON; errors are ``{"error": {"type", "message"}}``):
 
 * ``POST /v1/cost`` — price one design point
-  (:class:`~repro.service.schemas.CostRequest`).  Requests ride the
-  :class:`~repro.service.batching.CostBatcher`; responses are cached by
-  canonical request value until the registry hash changes.
+  (:class:`~repro.service.schemas.CostRequest`).  Requests queue on
+  the :class:`~repro.service.batching.CostBatcher`, which dispatches at
+  once when idle; responses are cached by canonical request value until
+  the registry hash changes.
 * ``POST /v1/scenario`` — execute a declarative scenario document
   (the ``repro run`` payload).  With ``"stream": true`` the response is
   NDJSON (``application/x-ndjson``), one event object per line:
@@ -79,13 +80,11 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 8321,
     engine: Any = None,
-    max_batch: int = 32,
-    max_wait: float = 0.005,
     cache_size: int = 1024,
 ) -> CostServiceServer:
     """Build a ready-to-serve server (``port`` 0 binds a free port)."""
     state = ServiceState(engine=engine)
-    batcher = CostBatcher(state, max_batch=max_batch, max_wait=max_wait)
+    batcher = CostBatcher(state)
     cache = ResponseCache(maxsize=cache_size)
     return CostServiceServer((host, port), state, batcher, cache)
 

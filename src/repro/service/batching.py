@@ -1,23 +1,23 @@
-"""Request coalescing: concurrent cost queries become one batch call.
+"""Request coalescing: concurrent cost queries share one worker.
 
 ``ThreadingHTTPServer`` gives every connection its own thread.  Left
 alone, N concurrent ``POST /v1/cost`` handlers would contend for the
 engine lock one evaluation at a time.  :class:`CostBatcher` funnels
-them through a bounded queue instead: a single worker thread drains up
-to ``max_batch`` requests per tick (waiting at most ``max_wait``
-seconds for stragglers after the first arrival) and prices the whole
-tick in one :func:`repro.service.state.evaluate_cost_batch` call —
-grouped by override key, one ``CostEngine.evaluate_many`` per group.
+them through a bounded queue instead: a single worker thread blocks for
+the first request, then takes whatever else is already queued — no
+window, no size cap — and prices the batch with one call into
+:class:`repro.service.state.ServiceState`, under its lock.  A lone
+request is dispatched at once; a batch is what piled up while the
+worker was busy.  The bounded queue is the service's admission control:
+a full queue raises :class:`QueueFullError`, which the HTTP layer maps
+to 503.
 
-Correctness stance: the worker thread is the *only* cost-path user of
-the engine, and ``evaluate_many`` evaluates serially per item, so a
-request's result is bit-identical whether it arrived alone or sharing
-a tick with a hundred others (asserted by
+Correctness stance: every request in a batch is priced by the same
+``evaluate_cost`` the CLI runs, so a request's result is bit-identical
+whether it arrived alone or with a hundred others (asserted by
 ``tests/test_service_concurrency.py``).  Handlers block on a
-per-request :class:`concurrent.futures.Future`; evaluation errors
-propagate to exactly the requests that caused them — a bad design
-point in one request cannot fail its tick-mates, because a failing
-batch falls back to per-request evaluation.
+per-request :class:`concurrent.futures.Future`, and outcomes are per
+request: a bad design point fails only its own future.
 """
 
 from __future__ import annotations
@@ -48,26 +48,12 @@ class QueueFullError(InvalidParameterError):
 
 
 class CostBatcher:
-    """One worker thread coalescing cost requests into engine batches."""
+    """One worker thread pricing queued cost requests batch by batch."""
 
     def __init__(
-        self,
-        state: "ServiceState",
-        max_batch: int = 32,
-        max_wait: float = 0.005,
-        queue_size: int = DEFAULT_QUEUE_SIZE,
+        self, state: "ServiceState", queue_size: int = DEFAULT_QUEUE_SIZE
     ):
-        if max_batch < 1:
-            raise InvalidParameterError(
-                f"max_batch must be >= 1, got {max_batch}"
-            )
-        if max_wait < 0:
-            raise InvalidParameterError(
-                f"max_wait must be >= 0, got {max_wait:g}"
-            )
         self.state = state
-        self.max_batch = max_batch
-        self.max_wait = max_wait
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._closed = False
         self.batches = 0
@@ -111,64 +97,40 @@ class CostBatcher:
     # ------------------------------------------------------------------
 
     def _collect(self) -> list | None:
-        """Block for the first item, then sweep stragglers for one tick.
+        """Block for the first item, then take what is already queued.
         Returns ``None`` on the shutdown sentinel."""
-        import time
-
         first = self._queue.get()
         if first is None:
             return None
         items = [first]
-        deadline = time.monotonic() + self.max_wait
-        while len(items) < self.max_batch:
-            remaining = deadline - time.monotonic()
+        while True:
             try:
-                item = (
-                    self._queue.get_nowait()
-                    if remaining <= 0
-                    else self._queue.get(timeout=remaining)
-                )
+                item = self._queue.get_nowait()
             except queue.Empty:
-                break
+                return items
             if item is None:
                 # Re-post the sentinel so the run loop sees it after
                 # this (final) batch completes.
                 self._queue.put(None)
-                break
+                return items
             items.append(item)
-        return items
 
     def _run(self) -> None:
-        from repro.service.state import evaluate_cost
-
         while True:
             items = self._collect()
             if items is None:
                 return
-            requests = [request for request, _future in items]
-            futures = [future for _request, future in items]
             self.batches += 1
             self.batched_requests += len(items)
             self.largest_batch = max(self.largest_batch, len(items))
-            try:
-                results = self.state.evaluate_cost_batch(requests)
-            except Exception:
-                # One bad design point must not fail its tick-mates:
-                # re-price individually so each future gets exactly its
-                # own outcome.
-                for request, future in items:
-                    try:
-                        with self.state.lock:
-                            result = evaluate_cost(
-                                request, engine=self.state.engine
-                            )
-                    except Exception as error:  # noqa: BLE001
-                        future.set_exception(error)
-                    else:
-                        future.set_result(result)
-                continue
-            for future, result in zip(futures, results):
-                future.set_result(result)
+            outcomes = self.state.evaluate_cost_batch(
+                [request for request, _future in items]
+            )
+            for (_request, future), outcome in zip(items, outcomes):
+                if isinstance(outcome, Exception):
+                    future.set_exception(outcome)
+                else:
+                    future.set_result(outcome)
 
     def stats(self) -> dict[str, int]:
         return {

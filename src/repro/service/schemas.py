@@ -140,11 +140,6 @@ class CostRequest:
     def canonical(self) -> str:
         return stable_json(self.to_dict())
 
-    def override_key(self) -> tuple[str, str]:
-        """Batching key: requests coalesce into one ``evaluate_many``
-        call only with identical die-pricing overrides."""
-        return (self.yield_model, self.wafer_geometry)
-
 
 @dataclass(frozen=True)
 class CostResult:

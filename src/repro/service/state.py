@@ -7,16 +7,15 @@ CostEngine` answers from its identity-keyed die/packaging caches.
 :class:`ServiceState` owns that engine plus the registry snapshot and
 fronts them with an explicit lock discipline:
 
-* **Cost requests never take the state lock.**  They flow through the
-  :class:`~repro.service.batching.CostBatcher`, whose single worker
-  thread is the only cost-path toucher of the engine — serialization
-  by construction, and the reason batched results are bit-identical to
-  sequential evaluation.
+* **Every engine user takes ``state.lock``.**  Cost requests flow
+  through the :class:`~repro.service.batching.CostBatcher`, whose
+  single worker thread hands each batch to :class:`ServiceState`,
+  which takes the lock once per batch and prices each request with the
+  CLI's own :func:`evaluate_cost` — the reason batched results are
+  bit-identical to sequential evaluation.
 * **Scenario and search requests take ``state.lock``** for their whole
   run: they share the same engine (scenario studies route through it),
-  so they serialize against each other and against the batcher's
-  engine use (the batcher worker also takes the lock around each
-  engine call).
+  so they serialize against each other and against cost batches.
 * **Registry reads** (``registry_payload`` / ``current_registry_hash``)
   recompute from the live global registries; the response cache
   compares hashes to invalidate itself when a registry mutates.
@@ -112,42 +111,11 @@ def evaluate_cost(request: CostRequest, engine: Any = None) -> CostResult:
     return _result_from_costs(system, re, total)
 
 
-def evaluate_cost_batch(
-    requests: Sequence[CostRequest], engine: Any
-) -> list[CostResult]:
-    """Price a batch on one engine via ``evaluate_many``.
-
-    Requests are grouped by :meth:`CostRequest.override_key` (one
-    resolved die-pricing closure per group) and each group evaluates in
-    a single serial ``evaluate_many`` call — which the engine defines
-    as per-item ``evaluate_re``, so batched results are bit-identical
-    to evaluating each request alone.
-    """
-    from repro.core.total import compute_total_cost
-
-    results: list[CostResult | None] = [None] * len(requests)
-    groups: dict[tuple[str, str], list[int]] = {}
-    for index, request in enumerate(requests):
-        groups.setdefault(request.override_key(), []).append(index)
-    for indices in groups.values():
-        systems = [build_system(requests[index]) for index in indices]
-        price_die = resolve_die_cost_fn(requests[indices[0]], "cost")
-        res = engine.evaluate_many(systems, die_cost_fn=price_die)
-        for position, index in enumerate(indices):
-            system = systems[position]
-            total = compute_total_cost(system, re_cost=res[position])
-            results[index] = _result_from_costs(
-                system, res[position], total
-            )
-    return [result for result in results if result is not None]
-
-
 class ServiceState:
     """Warm engine + registry snapshot behind a thread-safe façade."""
 
     def __init__(self, engine: Any = None):
-        #: Serializes scenario/search runs and the batcher's engine
-        #: calls.  An RLock: a scenario run may re-enter via nested
+        #: Serializes scenario/search runs and cost batches.  An RLock: a scenario run may re-enter via nested
         #: state helpers.
         self.lock = threading.RLock()
         if engine is None:
@@ -160,17 +128,21 @@ class ServiceState:
 
     # ------------------------------------------------------------------
 
-    def evaluate_cost(self, request: CostRequest) -> CostResult:
-        with self.lock:
-            self.requests_served += 1
-            return evaluate_cost(request, engine=self.engine)
-
     def evaluate_cost_batch(
         self, requests: Sequence[CostRequest]
-    ) -> list[CostResult]:
+    ) -> list[CostResult | Exception]:
+        """One outcome per request, in order: its result, or the
+        exception pricing it raised (so one bad design point fails
+        only its own request)."""
+        outcomes: list[CostResult | Exception] = []
         with self.lock:
             self.requests_served += len(requests)
-            return evaluate_cost_batch(requests, self.engine)
+            for request in requests:
+                try:
+                    outcomes.append(evaluate_cost(request, engine=self.engine))
+                except Exception as error:  # noqa: BLE001
+                    outcomes.append(error)
+        return outcomes
 
     def run_scenario(self, request: ScenarioRequest) -> ScenarioRunResult:
         from repro.scenario.runner import ScenarioRunner
@@ -259,6 +231,5 @@ __all__ = [
     "ServiceState",
     "build_system",
     "evaluate_cost",
-    "evaluate_cost_batch",
     "resolve_die_cost_fn",
 ]

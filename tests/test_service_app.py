@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.corpus.hashing import registry_hash
 from repro.service.app import CostServiceServer, ServerThread
+from repro.service.batching import QueueFullError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.schemas import (
     CostRequest,
@@ -40,6 +41,19 @@ def test_listen_backlog_holds_concurrent_clients():
     """socketserver's default backlog of 5 drops connections under a few
     dozen concurrent clients; the service listens with 128."""
     assert CostServiceServer.request_queue_size == 128
+
+
+def test_full_queue_is_a_typed_503():
+    def refuse(request, timeout=60.0):
+        raise QueueFullError("cost queue is full; retry later")
+
+    server_thread = ServerThread()
+    server_thread.server.batcher.evaluate = refuse
+    with server_thread as url:
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(url).cost(CostRequest(area=100.0))
+    assert excinfo.value.status == 503
+    assert excinfo.value.error_type == "QueueFullError"
 
 
 class TestHealthAndRegistries:

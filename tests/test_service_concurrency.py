@@ -1,20 +1,17 @@
 """Concurrency contract: batched, interleaved, threaded evaluation is
 bit-identical to sequential evaluation, with no cross-talk between
-override sets and per-request error isolation."""
+override sets, per-request error isolation and a bounded queue."""
 
 import concurrent.futures
 import threading
+import time
 
 import pytest
 
-from repro.errors import InvalidParameterError, UnknownNodeError
-from repro.service.batching import BatcherClosed, CostBatcher
+from repro.errors import UnknownNodeError
+from repro.service.batching import BatcherClosed, CostBatcher, QueueFullError
 from repro.service.schemas import CostRequest
-from repro.service.state import (
-    ServiceState,
-    evaluate_cost,
-    evaluate_cost_batch,
-)
+from repro.service.state import ServiceState, evaluate_cost
 
 
 def _workload() -> list[CostRequest]:
@@ -41,14 +38,14 @@ class TestBatchEquivalence:
         requests = _workload()
         state = ServiceState()
         sequential = [evaluate_cost(request) for request in requests]
-        batched = evaluate_cost_batch(requests, state.engine)
+        batched = state.evaluate_cost_batch(requests)
         assert batched == sequential
 
     def test_override_groups_do_not_cross_talk(self):
         """The same area priced under three override sets must give
         three different answers, and each must match its own
-        sequential oracle — a grouping bug would leak one group's
-        die pricing into another."""
+        sequential oracle — a shared-engine cache bug would leak one
+        override set's die pricing into another."""
         area = 512.0
         trio = [
             CostRequest(area=area),
@@ -57,7 +54,7 @@ class TestBatchEquivalence:
                         wafer_geometry="450mm"),
         ]
         state = ServiceState()
-        batched = evaluate_cost_batch(trio, state.engine)
+        batched = state.evaluate_cost_batch(trio)
         totals = [result.total for result in batched]
         assert len(set(totals)) == 3
         for request, result in zip(trio, batched):
@@ -71,17 +68,21 @@ class TestThreadedBatcher:
             request: evaluate_cost(request) for request in set(requests)
         }
         state = ServiceState()
-        # A sizeable max_wait forces real coalescing under the thread
-        # storm below.
-        batcher = CostBatcher(state, max_batch=16, max_wait=0.05)
+        batcher = CostBatcher(state)
         try:
-            barrier = threading.Barrier(8)
+            # Every thread queues its first request while the test holds
+            # the engine lock, so the storm is certain to coalesce.
+            barrier = threading.Barrier(9)
             failures: list[str] = []
 
             def worker(chunk: list[CostRequest]) -> None:
+                first = batcher.submit(chunk[0])
                 barrier.wait()
-                for request in chunk:
-                    result = batcher.evaluate(request, timeout=60.0)
+                results = [first.result(timeout=60.0)] + [
+                    batcher.evaluate(request, timeout=60.0)
+                    for request in chunk[1:]
+                ]
+                for request, result in zip(chunk, results):
                     if result != oracle[request]:
                         failures.append(
                             f"mismatch for area={request.area}"
@@ -92,8 +93,10 @@ class TestThreadedBatcher:
                 threading.Thread(target=worker, args=(chunk,))
                 for chunk in chunks
             ]
-            for thread in threads:
-                thread.start()
+            with state.lock:
+                for thread in threads:
+                    thread.start()
+                barrier.wait(timeout=60)
             for thread in threads:
                 thread.join(timeout=120)
             assert not failures
@@ -106,39 +109,72 @@ class TestThreadedBatcher:
         finally:
             batcher.close()
 
-    def test_error_isolation(self):
-        """One bad design point fails only its own future; tick-mates
-        still resolve (via the per-request fallback)."""
+    def test_coalesces_what_queued_while_busy(self):
+        """Requests submitted while the worker waits on the engine lock
+        form at most two batches: whatever the worker took before
+        blocking, then everything that queued behind it."""
+        requests = _workload()
         state = ServiceState()
-        batcher = CostBatcher(state, max_batch=8, max_wait=0.05)
+        batcher = CostBatcher(state)
+        try:
+            with state.lock:
+                futures = [batcher.submit(request) for request in requests]
+            for request, future in zip(requests, futures):
+                assert future.result(timeout=60) == evaluate_cost(request)
+            stats = batcher.stats()
+            assert stats["batched_requests"] == len(requests)
+            assert stats["batches"] <= 2
+        finally:
+            batcher.close()
+
+    def test_error_isolation(self):
+        """One bad design point fails only its own future; batch-mates
+        still resolve."""
+        state = ServiceState()
+        batcher = CostBatcher(state)
         try:
             good = CostRequest(area=300.0)
             bad = CostRequest(area=300.0, node="nope-nm")
-            futures = [
-                batcher.submit(good),
-                batcher.submit(bad),
-                batcher.submit(CostRequest(area=301.0)),
-            ]
+            with state.lock:
+                futures = [
+                    batcher.submit(good),
+                    batcher.submit(bad),
+                    batcher.submit(CostRequest(area=301.0)),
+                ]
             assert futures[0].result(timeout=30) == evaluate_cost(good)
             with pytest.raises(UnknownNodeError):
                 futures[1].result(timeout=30)
             assert futures[2].result(timeout=30) == evaluate_cost(
                 CostRequest(area=301.0)
             )
+            assert batcher.stats()["batches"] <= 2
         finally:
             batcher.close()
 
     def test_submit_after_close(self):
-        batcher = CostBatcher(ServiceState(), max_wait=0.0)
+        batcher = CostBatcher(ServiceState())
         batcher.close()
         with pytest.raises(BatcherClosed):
             batcher.submit(CostRequest(area=100.0))
 
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            CostBatcher(ServiceState(), max_batch=0)
-        with pytest.raises(InvalidParameterError):
-            CostBatcher(ServiceState(), max_wait=-1.0)
+    def test_full_queue_rejects(self):
+        """With one queue slot and the worker blocked on the engine
+        lock, the worker holds the first request, the queue the second,
+        and the third is refused."""
+        state = ServiceState()
+        batcher = CostBatcher(state, queue_size=1)
+        try:
+            with state.lock:
+                first = batcher.submit(CostRequest(area=100.0))
+                while batcher.stats()["batches"] == 0:
+                    time.sleep(0.001)
+                second = batcher.submit(CostRequest(area=101.0))
+                with pytest.raises(QueueFullError):
+                    batcher.submit(CostRequest(area=102.0))
+            assert first.result(timeout=30).system
+            assert second.result(timeout=30).system
+        finally:
+            batcher.close()
 
 
 class TestResponseCacheIsolation:
@@ -176,7 +212,7 @@ class TestResponseCacheIsolation:
 
 def test_futures_module_contract():
     """submit() returns a real concurrent.futures.Future."""
-    batcher = CostBatcher(ServiceState(), max_wait=0.0)
+    batcher = CostBatcher(ServiceState())
     try:
         future = batcher.submit(CostRequest(area=123.0))
         assert isinstance(future, concurrent.futures.Future)

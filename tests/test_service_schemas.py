@@ -83,11 +83,9 @@ class TestCostRequest:
 
         plain = CostRequest(area=100.0)
         assert resolve_die_cost_fn(plain, "cost") is None
-        assert plain.override_key() == ("", "")
         named = CostRequest(area=100.0, yield_model="poisson",
                             wafer_geometry="450mm")
         assert resolve_die_cost_fn(named, "cost") is not None
-        assert named.override_key() == ("poisson", "450mm")
 
 
 class TestCostResult:
