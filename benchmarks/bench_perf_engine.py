@@ -39,13 +39,6 @@ replace and records the throughput trajectory to ``BENCH_engine.json``:
   MT19937-state-transplant vectorized stream of ``repro.engine.rng``.
   Parity is element-wise ``==`` *and* end-state equality of the two
   ``random.Random`` instances.  Acceptance: >= 5x.
-* **Monte Carlo fast tier** — the vectorized MC sampler at
-  ``precision="exact"`` versus ``precision="fast"`` on a heterogeneous
-  4-chiplet 2.5D system (four distinct die areas keep four live pow
-  columns per draw batch).  Same plan, draws and seed; the fast tier
-  swaps the exact tier's per-element libm pow loop for SIMD
-  ``np.power`` plus reassociated reductions.  Acceptance: >= 1.5x,
-  gated by the tier's 1e-9 relative-error contract (PERFORMANCE.md).
 * **Cost service throughput** — N ``POST /v1/cost`` requests against
   an in-process ``repro.service`` server (distinct design points,
   response cache off, warm engine) versus fresh ``python -m repro
@@ -53,21 +46,9 @@ replace and records the throughput trajectory to ``BENCH_engine.json``:
   cold caches.  The first warm response is asserted bit-identical to
   the engine-less evaluation path before any rate is reported.
   Acceptance: >= 20x.
-* **Portfolio fast tier** — the multi-scale portfolio solve at
-  ``precision="exact"`` versus ``precision="fast"`` on the synthetic
-  thousand-system portfolio: strictly-sequential ``add.accumulate``
-  folds versus reassociated ``.sum`` reductions over the same shared
-  decomposition.  Acceptance: >= 1.2x, same 1e-9 error gate.
 
-Every exact-vs-naive comparison asserts exact result parity before
-reporting a number, so the speedup can never come from computing
-something different; the two fast-tier cases assert the tier's bounded
-relative-error contract instead (the property suite in
-``tests/property/test_fast_tier.py`` is the primary gate, this records
-the headroom).  The search fast tier is deliberately *not* a bench
-case: die-yield pow columns are a negligible share of search time, so
-its measured headroom is ~1.0x — correctness is property-gated, but
-there is no speedup worth flooring.
+Every comparison asserts exact result parity before reporting a number,
+so the speedup can never come from computing something different.
 
 Run modes::
 
@@ -105,14 +86,7 @@ PORTFOLIO_SPEEDUP_FLOOR = 5.0
 THOUSAND_SPEEDUP_FLOOR = 5.0
 PRIOR_DRAWS_SPEEDUP_FLOOR = 5.0
 SEARCH_SPEEDUP_FLOOR = 20.0
-MC_FAST_TIER_SPEEDUP_FLOOR = 1.5
-PORTFOLIO_FAST_TIER_SPEEDUP_FLOOR = 1.2
 REQUESTS_PER_SEC_SPEEDUP_FLOOR = 20.0
-
-#: Relative-error bound the fast-tier cases must stay inside before any
-#: speedup is reported — the ``precision="fast"`` contract bound
-#: (PERFORMANCE.md), not a bench-local tolerance.
-FAST_TIER_REL_ERR_BOUND = 1e-9
 
 #: Full-mode acceptance floors, recorded in BENCH_engine.json.
 FLOORS = {
@@ -122,8 +96,6 @@ FLOORS = {
     "portfolio_thousand_systems": THOUSAND_SPEEDUP_FLOOR,
     "prior_draws": PRIOR_DRAWS_SPEEDUP_FLOOR,
     "search_space": SEARCH_SPEEDUP_FLOOR,
-    "monte_carlo_fast_tier": MC_FAST_TIER_SPEEDUP_FLOOR,
-    "portfolio_fast_tier": PORTFOLIO_FAST_TIER_SPEEDUP_FLOOR,
     "requests_per_sec": REQUESTS_PER_SEC_SPEEDUP_FLOOR,
 }
 
@@ -139,8 +111,6 @@ SMOKE_FLOORS = {
     "portfolio_thousand_systems": 2.5,
     "prior_draws": 2.5,
     "search_space": 5.0,
-    "monte_carlo_fast_tier": 1.3,
-    "portfolio_fast_tier": 1.1,
     "requests_per_sec": 5.0,
 }
 
@@ -527,135 +497,6 @@ def _prior_draws_case(draws: int) -> dict:
     }
 
 
-def _max_rel_err(fast, exact) -> float:
-    """Largest ``|fast - exact| / max(|exact|, 1)`` over paired values
-    (the same convention as ``tests/property/checks.py``)."""
-    return max(
-        (abs(f - e) / max(abs(e), 1.0) for f, e in zip(fast, exact)),
-        default=0.0,
-    )
-
-
-def _fast_tier_system():
-    """A heterogeneous 4-chiplet 2.5D system for the fast-tier MC case.
-
-    Four distinct die areas keep four live pow columns per draw batch,
-    so the exact tier's per-element libm loop is exactly what the fast
-    tier's SIMD ``np.power`` replaces — a homogeneous partition would
-    collapse them into one cached column and understate the headroom.
-    """
-    from repro.core.module import Module
-    from repro.core.system import chiplet, multichip
-    from repro.d2d.overhead import FractionOverhead
-    from repro.packaging.interposer import interposer_25d
-    from repro.process.catalog import get_node
-
-    node = get_node("5nm")
-    chips = [
-        chiplet(
-            f"tile-{index}",
-            [Module(f"ip-{index}", 120.0 + 45.0 * index, node)],
-            node,
-            d2d=FractionOverhead(0.1),
-        )
-        for index in range(4)
-    ]
-    return multichip(
-        "fast-tier-mc", chips, interposer_25d(), quantity=1_000_000.0
-    )
-
-
-def _monte_carlo_fast_tier_case(draws: int) -> dict:
-    """``precision="exact"`` vs ``precision="fast"`` on the vectorized
-    MC sampler: same plan, same draws, same seed — the only difference
-    is the die-yield pow column (per-element libm loop vs SIMD
-    ``np.power``) and reassociated reductions.  The relative error is
-    asserted inside the fast tier's contract bound before any speedup
-    is reported."""
-    from repro.engine.fastmc import sample_re_costs
-
-    system = _fast_tier_system()
-    # Compile the plan and warm the shared caches for both tiers so the
-    # timing isolates the per-draw column work.
-    sample_re_costs(system, draws=8, seed=11)
-    sample_re_costs(system, draws=8, seed=11, precision="fast")
-
-    start = time.perf_counter()
-    exact = sample_re_costs(system, draws=draws, seed=11)
-    exact_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    fast = sample_re_costs(system, draws=draws, seed=11, precision="fast")
-    fast_s = time.perf_counter() - start
-
-    err = _max_rel_err(fast, exact)
-    assert err < FAST_TIER_REL_ERR_BOUND, (
-        f"fast-tier MC relative error {err:.3e} outside the "
-        f"{FAST_TIER_REL_ERR_BOUND:.0e} contract bound"
-    )
-    return {
-        "draws": draws,
-        "exact_seconds": exact_s,
-        "fast_seconds": fast_s,
-        "exact_draws_per_sec": draws / exact_s,
-        "fast_draws_per_sec": draws / fast_s,
-        "max_rel_err": err,
-        "speedup": exact_s / fast_s,
-    }
-
-
-def _portfolio_fast_tier_case(n_systems: int, points: int) -> dict:
-    """``precision="exact"`` vs ``precision="fast"`` on the multi-scale
-    portfolio solve over one shared decomposition of the synthetic
-    ``n_systems``-member portfolio: strictly-sequential
-    ``add.accumulate`` share folds vs reassociated ``.sum`` reductions.
-    Relative error asserted inside the contract bound on every
-    per-system total and every average."""
-    from repro.engine import CostEngine
-    from repro.engine.fastportfolio import PortfolioEngine
-
-    portfolio = synthetic_portfolio(n_systems)
-    scales = [0.25 + 3.75 * i / max(1, points - 1) for i in range(points)]
-    engine = PortfolioEngine(CostEngine())
-    # Decompose + warm up front: both tiers share the decomposition, so
-    # the timing isolates the per-scale reduction work.
-    engine.volume_solve(portfolio, scales[:1])
-
-    start = time.perf_counter()
-    exact = engine.volume_solve(portfolio, scales)
-    exact_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    fast = engine.volume_solve(portfolio, scales, precision="fast")
-    fast_s = time.perf_counter() - start
-
-    err = 0.0
-    for index in range(points):
-        err = max(
-            err,
-            _max_rel_err(fast.point_totals(index), exact.point_totals(index)),
-            _max_rel_err(
-                [fast.point_average(index)], [exact.point_average(index)]
-            ),
-        )
-    assert err < FAST_TIER_REL_ERR_BOUND, (
-        f"fast-tier portfolio relative error {err:.3e} outside the "
-        f"{FAST_TIER_REL_ERR_BOUND:.0e} contract bound"
-    )
-    evaluations = n_systems * points
-    return {
-        "systems": n_systems,
-        "points": points,
-        "evaluations": evaluations,
-        "exact_seconds": exact_s,
-        "fast_seconds": fast_s,
-        "exact_systems_per_sec": evaluations / exact_s,
-        "fast_systems_per_sec": evaluations / fast_s,
-        "max_rel_err": err,
-        "speedup": exact_s / fast_s,
-    }
-
-
 def _requests_per_sec_case(requests: int, cold_runs: int) -> dict:
     """Warm HTTP service vs cold per-request CLI processes.
 
@@ -749,8 +590,6 @@ _SHAPES = {
         "thousand": (100, 4),
         "prior_draws": 40_000,
         "search": (12, 3, 3),
-        "mc_fast_draws": 2000,
-        "portfolio_fast": (100, 10),
         "service": (5, 1),
     },
     "gate": {
@@ -761,8 +600,6 @@ _SHAPES = {
         "thousand": (500, 10),
         "prior_draws": 200_000,
         "search": (200, 6, 10),
-        "mc_fast_draws": 50_000,
-        "portfolio_fast": (1000, 50),
         "service": (25, 2),
     },
     "full": {
@@ -777,11 +614,6 @@ _SHAPES = {
         # 800 areas x 12 nodes x 2 techs x 5 counts (+ SoC references)
         # = 105,600 candidates; the naive loop samples every 16th area.
         "search": (800, 12, 16),
-        # 100k draws sit on the asymptotic per-draw rate (plan compile
-        # and fixed costs amortized away), so the recorded fast-tier
-        # speedup is the steady-state pow-column headroom.
-        "mc_fast_draws": 100_000,
-        "portfolio_fast": (1000, 50),
         "service": (100, 3),
     },
 }
@@ -798,8 +630,6 @@ def run_bench(smoke: bool = False, mode: str | None = None) -> dict:
     thousand_shape = shapes["thousand"]
     prior_draws = shapes["prior_draws"]
     search_shape = shapes["search"]
-    mc_fast_draws = shapes["mc_fast_draws"]
-    portfolio_fast_shape = shapes["portfolio_fast"]
     service_shape = shapes["service"]
 
     mc = max(
@@ -826,17 +656,6 @@ def run_bench(smoke: bool = False, mode: str | None = None) -> dict:
         (_search_space_case(*search_shape) for _ in range(rounds)),
         key=lambda case: case["speedup"],
     )
-    mc_fast = max(
-        (_monte_carlo_fast_tier_case(mc_fast_draws) for _ in range(rounds)),
-        key=lambda case: case["speedup"],
-    )
-    portfolio_fast = max(
-        (
-            _portfolio_fast_tier_case(*portfolio_fast_shape)
-            for _ in range(rounds)
-        ),
-        key=lambda case: case["speedup"],
-    )
     # One round: cold-process baselines are expensive, and subprocess
     # start-up noise dwarfs round-to-round engine variance anyway.
     service = _requests_per_sec_case(*service_shape)
@@ -850,8 +669,6 @@ def run_bench(smoke: bool = False, mode: str | None = None) -> dict:
         "portfolio_thousand_systems": thousand,
         "prior_draws": prior,
         "search_space": search,
-        "monte_carlo_fast_tier": mc_fast,
-        "portfolio_fast_tier": portfolio_fast,
         "requests_per_sec": service,
         "floors": dict(FLOORS),
         "smoke_floors": dict(SMOKE_FLOORS),
@@ -865,8 +682,6 @@ def _report(results: dict) -> str:
     thousand = results["portfolio_thousand_systems"]
     prior = results["prior_draws"]
     search = results["search_space"]
-    mc_fast = results["monte_carlo_fast_tier"]
-    portfolio_fast = results["portfolio_fast_tier"]
     service = results["requests_per_sec"]
     return "\n".join(
         [
@@ -895,16 +710,6 @@ def _report(results: dict) -> str:
             f"naive {search['naive_candidates_per_sec']:>10.0f}/s   "
             f"fast {search['fast_candidates_per_sec']:>12.0f}/s   "
             f"speedup {search['speedup']:.1f}x",
-            f"  mc fast tier    {mc_fast['draws']:>6} draws   "
-            f"exact {mc_fast['exact_draws_per_sec']:>10.0f}/s   "
-            f"fast {mc_fast['fast_draws_per_sec']:>12.0f}/s   "
-            f"speedup {mc_fast['speedup']:.1f}x  "
-            f"(rel err {mc_fast['max_rel_err']:.1e})",
-            f"  pf fast tier    {portfolio_fast['evaluations']:>6} evals   "
-            f"exact {portfolio_fast['exact_systems_per_sec']:>10.0f}/s   "
-            f"fast {portfolio_fast['fast_systems_per_sec']:>12.0f}/s   "
-            f"speedup {portfolio_fast['speedup']:.1f}x  "
-            f"(rel err {portfolio_fast['max_rel_err']:.1e})",
             f"  cost service    {service['requests']:>6} reqs    "
             f"cold {service['cold_requests_per_sec']:>10.1f}/s   "
             f"warm {service['warm_requests_per_sec']:>12.1f}/s   "

@@ -24,13 +24,9 @@ flags the constructs that silently break that contract:
 ``cumsum`` and ``ufunc.accumulate`` are deliberately *not* flagged:
 they are the blessed strictly-sequential folds.
 
-**Fast-tier opt-out.**  A module carrying the module-level marker
-``PRECISION = "fast"`` (``repro.engine.fasttier`` is the canonical
-instance) has explicitly left the bit-parity contract for the
-bounded-relative-error fast tier (PERFORMANCE.md "Precision tiers"):
-reassociating numpy reductions are *allowed* there and not flagged.
-Every other check — unordered folds, unseeded randomness, wall-clock
-reads — still applies; relaxed parity is not relaxed determinism.
+No module is exempt: the engine has one arithmetic contract
+(PERFORMANCE.md "One arithmetic contract"), so every module under
+both trees is held to bit parity.
 """
 
 from __future__ import annotations
@@ -53,31 +49,6 @@ _NUMPY_ALIASES = {"np", "_np", "numpy"}
 _REASSOC_REDUCTIONS = {
     "sum", "prod", "dot", "matmul", "einsum", "nansum", "inner", "vdot",
 }
-
-
-def _declares_fast_precision(tree: ast.Module) -> bool:
-    """Whether the module opts into the fast tier.
-
-    True when the module body contains a top-level
-    ``PRECISION = "fast"`` (plain or annotated) assignment — the
-    explicit marker exempting *reassociating reductions only* from the
-    bit-parity contract.
-    """
-    for statement in tree.body:
-        if isinstance(statement, ast.Assign):
-            targets, value = statement.targets, statement.value
-        elif isinstance(statement, ast.AnnAssign):
-            targets, value = [statement.target], statement.value
-        else:
-            continue
-        if not (isinstance(value, ast.Constant) and value.value == "fast"):
-            continue
-        if any(
-            isinstance(target, ast.Name) and target.id == "PRECISION"
-            for target in targets
-        ):
-            return True
-    return False
 
 
 def _is_unordered_iterable(node: ast.expr) -> bool:
@@ -112,10 +83,6 @@ class ParityDeterminismRule(Rule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if not any(scope in ctx.canonical for scope in _SCOPES):
             return
-        # The PRECISION = "fast" marker exempts reassociating reductions
-        # (and only those) — the module has opted into the
-        # bounded-rel-err fast tier instead of bit parity.
-        fast_tier = _declares_fast_precision(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 banned = [
@@ -132,10 +99,10 @@ class ParityDeterminismRule(Rule):
                     )
             if not isinstance(node, ast.Call):
                 continue
-            yield from self._check_call(ctx, node, fast_tier)
+            yield from self._check_call(ctx, node)
 
     def _check_call(
-        self, ctx: FileContext, call: ast.Call, fast_tier: bool = False
+        self, ctx: FileContext, call: ast.Call
     ) -> Iterable[Finding]:
         func = call.func
         if (
@@ -203,8 +170,6 @@ class ParityDeterminismRule(Rule):
                 )
             return
         if func.attr in _REASSOC_REDUCTIONS:
-            if fast_tier:
-                return
             if isinstance(owner, ast.Name) and owner.id in _NUMPY_ALIASES:
                 yield ctx.finding(
                     self.rule_id,

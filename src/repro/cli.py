@@ -317,7 +317,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         seed=args.seed,
         method=args.method,
         die_cost_fn=_die_cost_override(args, "montecarlo"),
-        precision=args.precision,
     )
     table = Table(
         ["statistic", "RE USD/unit"],
@@ -663,14 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed-form fast path (default) or the object-rebuilding "
         "oracle (identical samples, also with --yield-model / "
         "--wafer-geometry)",
-    )
-    montecarlo.add_argument(
-        "--precision",
-        choices=["exact", "fast"],
-        default="exact",
-        help="evaluation tier for the closed-form path: exact "
-        "(bit-parity, default) or fast (reassociated float64); see "
-        "PERFORMANCE.md",
     )
     _add_yield_arguments(montecarlo)
 

@@ -189,7 +189,6 @@ class CostEngine:
         sigma: float = 0.15,
         seed: int = 0,
         die_cost_fn: Callable | None = None,
-        precision: str = "exact",
     ) -> list[float]:
         """Closed-form Monte-Carlo RE samples under defect uncertainty.
 
@@ -200,10 +199,8 @@ class CostEngine:
         object-rebuilding oracle
         (:func:`repro.explore.montecarlo.monte_carlo_cost_naive`).
         ``die_cost_fn`` carries registry-named yield-model /
-        wafer-geometry overrides into every draw; ``precision`` selects
-        the evaluation tier (``"exact"`` | ``"fast"``, PERFORMANCE.md
-        "Precision tiers").  Distribution statistics and method
-        selection live one layer up in
+        wafer-geometry overrides into every draw.  Distribution
+        statistics and method selection live one layer up in
         :func:`repro.explore.montecarlo.monte_carlo_cost`.
         """
         from repro.engine.fastmc import sample_re_costs
@@ -214,7 +211,6 @@ class CostEngine:
             sigma=sigma,
             seed=seed,
             die_cost_fn=die_cost_fn,
-            precision=precision,
         )
 
     # ------------------------------------------------------------------

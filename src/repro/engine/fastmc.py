@@ -65,7 +65,6 @@ except ImportError:  # pragma: no cover - exercised via _sample_loop tests
 
 from repro.core.system import System
 from repro.wafer.diecache import cached_die_cost
-from repro.engine import fasttier
 from repro.engine.packaging_affine import linearize_packaging
 from repro.engine.rng import sample_prior, sample_prior_array
 from repro.errors import InvalidParameterError
@@ -184,7 +183,6 @@ class MonteCarloPlan:
     def evaluate_batch(
         self,
         scale_rows: Sequence[Sequence[float]],
-        precision: str = "exact",
     ) -> list[float]:
         """Vectorized :meth:`evaluate` over many draws (needs numpy).
 
@@ -195,13 +193,7 @@ class MonteCarloPlan:
         the yield's ``pow`` runs through Python's libm binding exactly
         like the scalar path (numpy's SIMD ``power`` can differ in the
         last ulp).
-
-        ``precision="fast"`` trades that bit parity for throughput:
-        the yield ``pow`` runs through numpy's SIMD ``power`` via
-        ``repro.engine.fasttier``, with relative error bounded by the
-        fast-tier contract (PERFORMANCE.md, "Precision tiers").
         """
-        fasttier.validate_precision(precision)
         if _np is None:
             raise InvalidParameterError(
                 "MonteCarloPlan.evaluate_batch needs numpy; "
@@ -238,16 +230,10 @@ class MonteCarloPlan:
                 defects = density * term.area / MM2_PER_CM2
                 base = 1.0 + defects / term.cluster_param
                 exponent = -term.cluster_param
-                if precision != "exact":
-                    # Fast tier: SIMD power with bounded relative
-                    # error instead of bit parity.
-                    die_yield = fasttier.power_column(base, exponent)
-                else:
-                    # libm pow per element: bit-identical to the
-                    # scalar `**`.
-                    die_yield = _np.array(
-                        [value ** exponent for value in base.tolist()]
-                    )
+                # libm pow per element: bit-identical to the scalar `**`.
+                die_yield = _np.array(
+                    [value ** exponent for value in base.tolist()]
+                )
                 yield_cache[key] = die_yield
             total = term.raw / die_yield
             defect = total - term.raw
@@ -264,7 +250,6 @@ def sample_re_costs(
     sigma: float = 0.15,
     seed: int = 0,
     die_cost_fn: Callable[[ProcessNode, float], DieCost] | None = None,
-    precision: str = "exact",
 ) -> list[float]:
     """Fast-path sampler mirroring the naive Monte-Carlo loop.
 
@@ -277,16 +262,9 @@ def sample_re_costs(
     wafer-geometry overrides
     (:meth:`repro.config.ConfigRegistries.die_cost_fn`) into every
     draw's die pricing.
-
-    ``precision="fast"`` opts the batch evaluator into
-    the relaxed-parity fast tier (``repro.engine.fasttier``): same
-    draws, SIMD yield transcendentals, bounded relative error instead
-    of bit equality.  Without numpy (or on the scalar fallback paths)
-    the parameter degrades gracefully to the exact scalar loop.
     """
     if draws <= 0:
         raise InvalidParameterError(f"draws must be > 0, got {draws}")
-    fasttier.validate_precision(precision)
     plan = MonteCarloPlan.compile(system, die_cost_fn=die_cost_fn)
     rng = random.Random(seed)
     prior = DefectDensityPrior(mode=1.0, sigma=sigma)
@@ -298,8 +276,7 @@ def sample_re_costs(
     return plan.evaluate_batch(
         _np.asarray(flat, dtype=_np.float64).reshape(
             draws, len(plan.node_names)
-        ),
-        precision=precision,
+        )
     )
 
 

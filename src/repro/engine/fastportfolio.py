@@ -57,7 +57,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.breakdown import NRECost, RECost, TotalCost
 from repro.core.system import System
-from repro.engine import fasttier
 from repro.engine.costengine import CostEngine, default_engine
 from repro.errors import InvalidParameterError
 from repro.explore.sweep import Sweep, SweepPoint
@@ -219,7 +218,7 @@ class _CategoryMatrices:
             for column, key in enumerate(keys):
                 self.indices[row, column] = index[key]
 
-    def share_sums(self, scales_column, precision: str = "exact") -> Any:
+    def share_sums(self, scales_column) -> Any:
         """Per-system amortized-share sums, one row per scale.
 
         Exactly replicates the scalar fold: denominators accumulate
@@ -227,12 +226,7 @@ class _CategoryMatrices:
         elementwise multiply-then-add, so padded zeros are no-ops),
         shares divide elementwise, and each system's shares add in its
         oracle key-tuple order via one gathered add per key column.
-        The fast tier collapses both folds to reassociated reductions.
         """
-        if precision != "exact":
-            return fasttier.share_sums(
-                self.nre, self.quantities, self.indices, scales_column
-            )
         n_scales = scales_column.shape[0]
         denominators = _np.zeros((n_scales, len(self.nre)))
         for column in range(self.quantities.shape[1]):
@@ -284,15 +278,13 @@ class _PortfolioMatrices:
         )
         self.re_totals = _np.array([re.total for re in decomposition.re])
 
-    def solve(
-        self, scales: Sequence[float], precision: str = "exact"
-    ) -> dict[str, Any]:
+    def solve(self, scales: Sequence[float]) -> dict[str, Any]:
         """All per-system costs and averages for every scale at once."""
         scales_column = _np.asarray(scales, dtype=float)[:, None]
-        modules = self.modules.share_sums(scales_column, precision)
-        chips = self.chips.share_sums(scales_column, precision)
-        d2d = self.d2d.share_sums(scales_column, precision)
-        shared_packages = self.packages.share_sums(scales_column, precision)
+        modules = self.modules.share_sums(scales_column)
+        chips = self.chips.share_sums(scales_column)
+        d2d = self.d2d.share_sums(scales_column)
+        shared_packages = self.packages.share_sums(scales_column)
         quantities = self.system_quantities[None, :] * scales_column
         packages = _np.where(
             self.owns_package[None, :],
@@ -302,18 +294,6 @@ class _PortfolioMatrices:
         # NRECost.total / TotalCost.total accumulation order, elementwise.
         nre_totals = modules + chips + packages + d2d
         totals = self.re_totals[None, :] + nre_totals
-        if precision != "exact":
-            spend = fasttier.fold_rows(totals * quantities)
-            produced = fasttier.fold_rows(quantities)
-            return {
-                "totals": totals,
-                "averages": spend / produced,
-                "quantities": quantities,
-                "nre_modules": modules,
-                "nre_chips": chips,
-                "nre_packages": packages,
-                "nre_d2d": d2d,
-            }
         # Portfolio.average_cost folds spend and quantity left-to-right;
         # add.accumulate is the strictly sequential vector equivalent.
         spend = _np.add.accumulate(totals * quantities, axis=1)[:, -1]
@@ -465,20 +445,15 @@ class PortfolioDecomposition:
             self._matrices_cache = matrices
         return matrices
 
-    def solve(
-        self, scales: Sequence[float], precision: str = "exact"
-    ) -> PortfolioVolumeSolve:
+    def solve(self, scales: Sequence[float]) -> PortfolioVolumeSolve:
         """Every member's cost at every volume scale, as dense arrays.
 
         The numpy path runs entirely over the decomposition's design x
         system matrices — no cost objects, no per-scale dict passes —
         and stays bit-identical to :meth:`evaluate` per scale; without
         numpy it falls back to scalar :meth:`evaluate` calls (same
-        results, nested tuples instead of ndarrays — including when a
-        fast ``precision`` was requested, which degrades gracefully to
-        the exact scalar path).
+        results, nested tuples instead of ndarrays).
         """
-        fasttier.validate_precision(precision)
         if not scales:
             raise InvalidParameterError("solve needs at least one scale")
         for scale in scales:
@@ -489,7 +464,7 @@ class PortfolioDecomposition:
         scales = tuple(float(scale) for scale in scales)
         if _np is None:
             return self._solve_scalar(scales)
-        solved = self._matrices().solve(scales, precision)
+        solved = self._matrices().solve(scales)
         return PortfolioVolumeSolve(
             decomposition=self, scales=scales, **solved
         )
@@ -598,19 +573,14 @@ class PortfolioEngine:
         portfolio: Portfolio,
         scales: Sequence[float],
         die_cost_fn: "Callable | None" = None,
-        precision: str = "exact",
     ) -> PortfolioVolumeSolve:
         """Vectorized closed-form volume sweep, as dense arrays.
 
         The thousand-system front-end: one decomposition, one numpy
         solve over design x system matrices, zero cost-object
         construction.  See :class:`PortfolioVolumeSolve`.
-        ``precision`` selects the evaluation tier (``"exact"`` |
-        ``"fast"``, PERFORMANCE.md "Precision tiers").
         """
-        return self.decompose(portfolio, die_cost_fn).solve(
-            scales, precision=precision
-        )
+        return self.decompose(portfolio, die_cost_fn).solve(scales)
 
     def volume_sweep(
         self,
@@ -618,7 +588,6 @@ class PortfolioEngine:
         portfolio: Portfolio,
         scales: Sequence[float],
         die_cost_fn: "Callable | None" = None,
-        precision: str = "exact",
     ) -> Sweep:
         """Closed-form sweep over volume scales.
 
@@ -630,9 +599,7 @@ class PortfolioEngine:
         """
         if not scales:
             raise InvalidParameterError("sweep needs at least one value")
-        solve = self.volume_solve(
-            portfolio, scales, die_cost_fn, precision=precision
-        )
+        solve = self.volume_solve(portfolio, scales, die_cost_fn)
         points = tuple(
             SweepPoint(x=scale, value=solve.costs(index))
             for index, scale in enumerate(solve.scales)

@@ -133,7 +133,6 @@ def monte_carlo_cost(
     metric: Callable[[System], float] | None = None,
     method: str = "auto",
     die_cost_fn: Callable | None = None,
-    precision: str = "exact",
 ) -> CostDistribution:
     """Sample the per-unit RE cost under defect-density uncertainty.
 
@@ -158,17 +157,11 @@ def monte_carlo_cost(
             to every draw on every path — the fast plan re-prices each
             draw's chips through it on defect-scaled nodes, so
             ``method="fast"`` accepts overrides uniformly.
-        precision: Evaluation tier for the closed-form path (``"exact"``
-            | ``"fast"``) — see PERFORMANCE.md
-            "Precision tiers".  The naive path is always exact.
     """
     if method not in _METHODS:
         raise InvalidParameterError(
             f"method must be one of {_METHODS}, got {method!r}"
         )
-    from repro.engine.fasttier import validate_precision
-
-    validate_precision(precision)
     if die_cost_fn is not None and metric is not None:
         raise InvalidParameterError(
             "pass either metric or die_cost_fn, not both"
@@ -189,7 +182,6 @@ def monte_carlo_cost(
                     sigma=sigma,
                     seed=seed,
                     die_cost_fn=die_cost_fn,
-                    precision=precision,
                 )
             )
         )

@@ -491,7 +491,6 @@ def _run_montecarlo(
         seed=study.seed,
         method=study.method,
         die_cost_fn=runner._die_cost_override(registries, study),
-        precision=study.precision,
     )
     table = Table(
         ["statistic", "RE USD/unit"],
@@ -774,8 +773,7 @@ def _run_reuse(
         # every scale solved at once over the dense matrices.
         solves = {
             variant: engine.volume_solve(
-                portfolio, study.volume_sweep, die_cost_fn=die_cost_fn,
-                precision=study.precision,
+                portfolio, study.volume_sweep, die_cost_fn=die_cost_fn
             )
             for variant, portfolio in portfolios.items()
         }

@@ -37,19 +37,21 @@ FIGURE_IDS = (2, 4, 5, 6, 8, 9, 10)
 #: Reuse schemes a ``reuse`` study may reference.
 REUSE_SCHEMES = ("scms", "ocme", "fsmc")
 
-#: Engine precision tiers a study may request (PERFORMANCE.md
-#: "Precision tiers"); mirrors ``repro.engine.fasttier.PRECISIONS``
-#: without importing the engine at spec-parse time.
-PRECISIONS = ("exact", "fast")
+#: The only ``precision`` a study accepts: the engine has one
+#: arithmetic contract (PERFORMANCE.md "One arithmetic contract").  The
+#: field stays because studies reject unknown keys, and saved scenarios
+#: and perfbench's study document still send ``"precision": "exact"``.
+PRECISIONS = ("exact",)
 
 
 def _check_precision(study: object) -> None:
-    """Validate a study's ``precision`` field with study context."""
+    """Reject a study asking for a removed precision tier."""
     precision = getattr(study, "precision")
     if precision not in PRECISIONS:
         raise ConfigError(
             f"{study.kind} study {getattr(study, 'name', '')!r}: precision "
-            f"must be one of {PRECISIONS}, got {precision!r}"
+            f"must be 'exact', got {precision!r} (the fast precision "
+            f"tiers were removed)"
         )
 
 #: kind -> study dataclass.

@@ -9,9 +9,7 @@ local runs default to ``ci`` too, so the suite is always bounded):
 * ``dev`` — a larger randomized budget for local exploration.
 
 Individual tests may raise their own budget with an explicit
-``@settings(max_examples=...)`` — the fast-tier relative-error and
-frontier-preservation properties pin 200 examples per path regardless
-of profile, per the acceptance bar.
+``@settings(max_examples=...)``.
 """
 
 import os

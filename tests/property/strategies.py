@@ -175,7 +175,7 @@ def design_spaces(draw, test_cost: bool = False) -> DesignSpace:
 
 
 @st.composite
-def montecarlo_studies(draw, precision: str = "exact") -> MonteCarloStudy:
+def montecarlo_studies(draw) -> MonteCarloStudy:
     """A small ``montecarlo`` scenario study."""
     technology = draw(st.sampled_from(("soc",) + tuple(sorted(TECHNOLOGIES))))
     return MonteCarloStudy(
@@ -191,7 +191,6 @@ def montecarlo_studies(draw, precision: str = "exact") -> MonteCarloStudy:
         draws=draw(st.integers(min_value=2, max_value=8)),
         sigma=draw(st.floats(min_value=0.01, max_value=0.4)),
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
-        precision=precision,
     )
 
 

@@ -4,7 +4,8 @@ Every accelerated path — ``fastmc``, ``fastsweep``, ``fastportfolio``,
 the ``SpaceEvaluator`` and the ``rng`` stream — carries a bit-parity
 contract against its naive oracle (PERFORMANCE.md).  The unit suites
 hold them equal on the seven paper figures; these properties hold them
-equal on *generated* systems, portfolios and spaces.
+equal on *generated* systems, portfolios and spaces, and hold the
+numpy-free scalar fallbacks equal to the numpy paths.
 """
 
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from checks import assert_bit_equal, assert_sequences_equal
 from repro.core.re_cost import compute_re_cost
+from repro.engine import fastmc, fastportfolio
 from repro.engine.costengine import CostEngine
 from repro.engine.fastmc import sample_re_costs
 from repro.engine.fastportfolio import PortfolioEngine
@@ -50,6 +52,20 @@ def test_fastmc_matches_naive_sampler(system, draws, sigma, seed):
         system, draws=draws, sigma=sigma, seed=seed
     ).samples
     assert_sequences_equal("fastmc.sample_re_costs", "re_total", fast, naive)
+
+
+@given(system=systems(), draws=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_fastmc_scalar_fallback_matches_numpy(system, draws, seed):
+    vectorized = sample_re_costs(system, draws=draws, seed=seed)
+    saved, fastmc._np = fastmc._np, None
+    try:
+        scalar = sample_re_costs(system, draws=draws, seed=seed)
+    finally:
+        fastmc._np = saved
+    assert_sequences_equal(
+        "fastmc no-numpy fallback", "re_total", scalar, vectorized
+    )
 
 
 @given(area=module_areas, node=catalog_node_names,
@@ -130,6 +146,28 @@ def test_fastportfolio_solve_matches_scalar_evaluate(portfolio, scales):
         assert_bit_equal(
             "PortfolioDecomposition.solve", f"average[scale={scale}]",
             solve.point_average(index), scalar.average,
+        )
+
+
+@given(portfolio=portfolios(),
+       scales=st.lists(st.floats(min_value=0.1, max_value=10.0),
+                       min_size=1, max_size=3))
+def test_fastportfolio_scalar_fallback_matches_numpy(portfolio, scales):
+    decomposition = PortfolioEngine(CostEngine()).decompose(portfolio)
+    vectorized = decomposition.solve(scales)
+    saved, fastportfolio._np = fastportfolio._np, None
+    try:
+        scalar = decomposition.solve(scales)
+    finally:
+        fastportfolio._np = saved
+    for index in range(len(vectorized.scales)):
+        assert_sequences_equal(
+            "PortfolioDecomposition._solve_scalar", f"totals[{index}]",
+            scalar.point_totals(index), vectorized.point_totals(index),
+        )
+        assert_bit_equal(
+            "PortfolioDecomposition._solve_scalar", f"average[{index}]",
+            scalar.point_average(index), vectorized.point_average(index),
         )
 
 

@@ -382,52 +382,14 @@ def test_determinism_suppressed():
     ) == set()
 
 
-def test_determinism_fast_tier_marker_allows_reductions():
-    # A module-level PRECISION = "fast" marker opts the module out of
-    # the bit-parity contract: reassociating reductions are allowed.
-    assert rules_fired(
-        "src/repro/engine/kernels.py",
-        """\
-        PRECISION = "fast"
-
-        total = np.sum(column)
-        folded = matrix.sum(axis=-1)
-        """,
-    ) == set()
-
-
-def test_determinism_fast_tier_marker_accepts_annotated_assignment():
-    assert rules_fired(
-        "src/repro/engine/kernels.py",
-        'PRECISION: str = "fast"\n\ntotal = np.sum(column)\n',
-    ) == set()
-
-
-def test_determinism_fast_tier_marker_does_not_silence_other_checks():
-    # Relaxed parity is not relaxed determinism: unseeded randomness,
-    # wall-clock reads and unordered folds still fire.
-    assert rules_fired(
-        "src/repro/engine/kernels.py",
-        """\
-        import random
-        import time
-
-        PRECISION = "fast"
-
-        x = random.gauss(0.0, 1.0)
-        stamp = time.time()
-        total = sum(costs.values())
-        """,
-    ) == {"parity-determinism"}
-
-
 def test_determinism_other_precision_values_do_not_exempt():
-    # Only the "fast" marker opts out; PRECISION = "exact" (or a
-    # non-module-level assignment) keeps the bit-parity contract.
-    assert rules_fired(
-        "src/repro/engine/kernels.py",
-        'PRECISION = "exact"\n\ntotal = np.sum(column)\n',
-    ) == {"parity-determinism"}
+    # No PRECISION marker opts a module out of the bit-parity contract,
+    # not even the removed fast tier's.
+    for marker in ('PRECISION = "exact"', 'PRECISION = "fast"'):
+        assert rules_fired(
+            "src/repro/engine/kernels.py",
+            f"{marker}\n\ntotal = np.sum(column)\n",
+        ) == {"parity-determinism"}
     assert rules_fired(
         "src/repro/engine/kernels.py",
         'def f(column):\n    PRECISION = "fast"\n    return np.sum(column)\n',

