@@ -9,8 +9,8 @@ replace and records the throughput trajectory to ``BENCH_engine.json``:
   numpy-vectorized ``repro.engine.fastmc`` plan.  Acceptance: >= 10x.
 * **Partition sweep** — a 100-point (10 areas x 10 chiplet counts) MCM
   partition grid: per-point ``compute_re_cost`` with caches bypassed
-  versus ``CostEngine.grid`` with cold shared caches.  Acceptance:
-  >= 3x.
+  versus ``CostEngine.partition_grid`` with cold shared caches.
+  Acceptance: >= 3x.
 * **Portfolio volume sweep** — a 20-point volume sweep of an FSMC
   (n=4, k=4) reuse study: per-point study rebuilding plus the
   ``Portfolio`` oracle (warm die cache — the honest pre-engine
@@ -133,7 +133,7 @@ def _monte_carlo_case(draws: int) -> dict:
 
     clear_die_cost_cache()
     start = time.perf_counter()
-    fast = monte_carlo_cost(system, draws=draws, seed=7, method="fast")
+    fast = monte_carlo_cost(system, draws=draws, seed=7)
     fast_s = time.perf_counter() - start
 
     assert fast.samples == naive.samples, "fast/naive Monte-Carlo parity broken"

@@ -115,7 +115,6 @@ from repro.engine import (
     PortfolioEngine,
     cached_die_cost,
     default_engine,
-    default_portfolio_engine,
 )
 from repro.registry import (
     node_registry,
@@ -235,7 +234,6 @@ __all__ = [
     "PortfolioEngine",
     "cached_die_cost",
     "default_engine",
-    "default_portfolio_engine",
     # registries
     "node_registry",
     "technology_registry",

@@ -315,7 +315,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         draws=args.draws,
         sigma=args.sigma,
         seed=args.seed,
-        method=args.method,
         die_cost_fn=_die_cost_override(args, "montecarlo"),
     )
     table = Table(
@@ -655,14 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     montecarlo.add_argument("--draws", type=int, default=500)
     montecarlo.add_argument("--sigma", type=float, default=0.15)
     montecarlo.add_argument("--seed", type=int, default=0)
-    montecarlo.add_argument(
-        "--method",
-        choices=["auto", "fast", "naive"],
-        default="auto",
-        help="closed-form fast path (default) or the object-rebuilding "
-        "oracle (identical samples, also with --yield-model / "
-        "--wafer-geometry)",
-    )
     _add_yield_arguments(montecarlo)
 
     search = sub.add_parser(

@@ -7,13 +7,16 @@ Three layers, documented in PERFORMANCE.md:
   ``repro.wafer.diecache``, which lives beside the cost it memoizes so
   core never imports upward from the engine;
 * ``repro.engine.costengine`` — :class:`CostEngine` batch API
-  (``evaluate_many`` / ``sweep`` / ``grid``), which ``repro.explore``
+  (``evaluate_many`` / ``sweep`` / ``partition_sweep`` /
+  ``partition_grid``), which ``repro.explore``, the scenario runner
   and the CLI route through;
 * ``repro.engine.rng`` — vectorized ``random.Random.gauss`` /
   defect-prior streams via exact MT19937 state transplant,
   bit-identical to the per-call oracle;
 * ``repro.engine.fastmc`` — closed-form Monte-Carlo evaluation that
-  prices each draw as pure float arithmetic on re-sampled yields;
+  prices each draw as pure float arithmetic on re-sampled yields
+  (``sample_re_costs``, behind
+  :func:`repro.explore.montecarlo.monte_carlo_cost`);
 * ``repro.engine.fastportfolio`` — :class:`PortfolioEngine` batch
   evaluation of reuse portfolios (SCMS/OCME/FSMC): shared design-unit
   NRE vectors plus memoized RE costs, with closed-form volume sweeps.
@@ -47,7 +50,6 @@ _EXPORTS = {
     "PortfolioCosts": "repro.engine.fastportfolio",
     "PortfolioDecomposition": "repro.engine.fastportfolio",
     "PortfolioEngine": "repro.engine.fastportfolio",
-    "default_portfolio_engine": "repro.engine.fastportfolio",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -8,8 +8,12 @@ System` objects".  The engine gives that loop one home:
   (``repro.wafer.diecache``) and caches the packaging coefficients
   per (package, areas) (``repro.engine.packaging_affine``), so a
   100-point sweep prices each distinct die and package once;
-* :meth:`CostEngine.sweep` / :meth:`CostEngine.grid` are the batch
-  front-ends that ``repro.explore`` and the CLI route through.
+* :meth:`CostEngine.evaluate_many` / :meth:`CostEngine.sweep` price
+  built systems, and :meth:`CostEngine.partition_sweep` /
+  :meth:`CostEngine.partition_grid` price equal partitions in closed
+  form; these are the batch front-ends that ``repro.explore``, the
+  scenario runner and the CLI route through.  Monte-Carlo sampling
+  lives in ``repro.engine.fastmc``.
 
 Results are bit-compatible with the naive
 :func:`repro.core.re_cost.compute_re_cost` path — the engine replicates
@@ -57,7 +61,7 @@ class GridPoint(Generic[R, C, Y]):
 
 @dataclass(frozen=True)
 class GridResult(Generic[R, C, Y]):
-    """Row-major results of :meth:`CostEngine.grid`."""
+    """Row-major results of :meth:`CostEngine.partition_grid`."""
 
     name: str
     rows: tuple
@@ -76,17 +80,6 @@ class GridResult(Generic[R, C, Y]):
             raise InvalidParameterError(
                 f"grid {self.name!r} has no cell ({row!r}, {col!r})"
             ) from None
-
-    def row_sweep(self, row: R) -> Sweep:
-        """One grid row as a :class:`~repro.explore.sweep.Sweep`."""
-        points = tuple(
-            SweepPoint(x=point.col, value=point.value)
-            for point in self.points
-            if point.row == row
-        )
-        if not points:
-            raise InvalidParameterError(f"grid {self.name!r} has no row {row!r}")
-        return Sweep(name=f"{self.name}[{row!r}]", points=points)
 
 
 class CostEngine:
@@ -182,37 +175,6 @@ class CostEngine:
             re_cost=self.evaluate_re(system, die_cost_fn=die_cost_fn),
         )
 
-    def monte_carlo(
-        self,
-        system: System,
-        draws: int = 500,
-        sigma: float = 0.15,
-        seed: int = 0,
-        die_cost_fn: Callable | None = None,
-    ) -> list[float]:
-        """Closed-form Monte-Carlo RE samples under defect uncertainty.
-
-        The batch front-end to :func:`repro.engine.fastmc.
-        sample_re_costs`: one compiled plan, a vectorized
-        MT19937-transplanted prior stream (``repro.engine.rng``) and
-        batch evaluation — draw-for-draw bit-identical to the
-        object-rebuilding oracle
-        (:func:`repro.explore.montecarlo.monte_carlo_cost_naive`).
-        ``die_cost_fn`` carries registry-named yield-model /
-        wafer-geometry overrides into every draw.  Distribution
-        statistics and method selection live one layer up in
-        :func:`repro.explore.montecarlo.monte_carlo_cost`.
-        """
-        from repro.engine.fastmc import sample_re_costs
-
-        return sample_re_costs(
-            system,
-            draws=draws,
-            sigma=sigma,
-            seed=seed,
-            die_cost_fn=die_cost_fn,
-        )
-
     # ------------------------------------------------------------------
     # batch evaluation
     # ------------------------------------------------------------------
@@ -220,75 +182,33 @@ class CostEngine:
     def evaluate_many(
         self,
         systems: Sequence[System],
-        evaluator: Callable[[System], Any] | None = None,
         die_cost_fn: Callable | None = None,
-    ) -> list:
-        """Evaluate every system in order; ``evaluator`` defaults to
-        :meth:`evaluate_re`.
-
-        Args:
-            systems: Systems to price.
-            evaluator: Optional metric applied to each system.
-            die_cost_fn: Optional die-pricing override applied to the
-                default RE evaluator (mutually exclusive with
-                ``evaluator``).
-        """
-        if die_cost_fn is not None:
-            if evaluator is not None:
-                raise InvalidParameterError(
-                    "pass either evaluator or die_cost_fn, not both"
-                )
-            return [
-                self.evaluate_re(system, die_cost_fn=die_cost_fn)
-                for system in systems
-            ]
-        if evaluator is None:
-            return [self.evaluate_re(system) for system in systems]
-        return [evaluator(system) for system in systems]
+    ) -> list[RECost]:
+        """:meth:`evaluate_re` of every system, in order (optionally
+        under a die-cost override, see :meth:`evaluate_re`)."""
+        return [
+            self.evaluate_re(system, die_cost_fn=die_cost_fn)
+            for system in systems
+        ]
 
     def sweep(
         self,
         name: str,
         values: Sequence[X],
         builder: Callable[[X], System],
-        evaluator: Callable[[System], Y] | None = None,
         die_cost_fn: Callable | None = None,
     ) -> Sweep:
-        """Batched form of :func:`repro.explore.sweep.run_sweep`."""
+        """RE cost of ``builder(value)`` for every value, as a
+        :class:`~repro.explore.sweep.Sweep`."""
         if not values:
             raise InvalidParameterError("sweep needs at least one value")
         systems = [builder(value) for value in values]
-        results = self.evaluate_many(
-            systems, evaluator=evaluator, die_cost_fn=die_cost_fn
-        )
+        results = self.evaluate_many(systems, die_cost_fn=die_cost_fn)
         points = tuple(
             SweepPoint(x=value, value=result)
             for value, result in zip(values, results)
         )
         return Sweep(name=name, points=points)
-
-    def grid(
-        self,
-        name: str,
-        rows: Sequence[R],
-        cols: Sequence[C],
-        builder: Callable[[R, C], System],
-        evaluator: Callable[[System], Y] | None = None,
-        die_cost_fn: Callable | None = None,
-    ) -> GridResult:
-        """Evaluate the full ``rows x cols`` cartesian product."""
-        if not rows or not cols:
-            raise InvalidParameterError("grid needs at least one row and column")
-        cells = [(row, col) for row in rows for col in cols]
-        systems = [builder(row, col) for row, col in cells]
-        results = self.evaluate_many(
-            systems, evaluator=evaluator, die_cost_fn=die_cost_fn
-        )
-        points = tuple(
-            GridPoint(row=row, col=col, value=result)
-            for (row, col), result in zip(cells, results)
-        )
-        return GridResult(name=name, rows=tuple(rows), cols=tuple(cols), points=points)
 
     # ------------------------------------------------------------------
     # closed-form partition studies

@@ -48,8 +48,10 @@ plan: ``compile(system, die_cost_fn=...)`` captures the override (the
 re-prices every unique chip through it on a defect-scaled node —
 exactly the calls ``compute_re_cost`` would make on a perturbed system,
 without rebuilding the object graph.  The prior stream stays vectorized
-and the packaging coefficients stay fixed, so ``method="fast"`` accepts
-overrides uniformly with the naive path.
+and the packaging coefficients stay fixed, so
+:func:`repro.explore.montecarlo.monte_carlo_cost` prices every override
+here, draw-for-draw equal to
+``monte_carlo_cost_naive(..., die_cost_fn=...)``.
 """
 
 from __future__ import annotations

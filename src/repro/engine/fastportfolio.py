@@ -51,15 +51,12 @@ price portfolios under registry-named yield models / wafer geometries
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.breakdown import NRECost, RECost, TotalCost
-from repro.core.system import System
 from repro.engine.costengine import CostEngine, default_engine
 from repro.errors import InvalidParameterError
-from repro.explore.sweep import Sweep, SweepPoint
 from repro.reuse.keys import package_design_key
 from repro.reuse.portfolio import Portfolio, _DesignUnit, _fold
 
@@ -104,16 +101,6 @@ class PortfolioCosts:
     costs: tuple[TotalCost, ...]
     average: float
 
-    def cost(self, system: "System | str") -> TotalCost:
-        """The cost of one member, by object or by system name."""
-        for member, cost in zip(self.portfolio.systems, self.costs):
-            if member is system or member.name == system:
-                return cost
-        name = system if isinstance(system, str) else system.name
-        raise InvalidParameterError(
-            f"system {name!r} is not part of this portfolio"
-        )
-
     def totals(self) -> tuple[float, ...]:
         """Per-system total USD/unit, aligned with ``portfolio.systems``."""
         return tuple(cost.total for cost in self.costs)
@@ -154,35 +141,6 @@ class PortfolioVolumeSolve:
     def point_average(self, index: int) -> float:
         """Quantity-weighted average total at scale ``scales[index]``."""
         return float(self.averages[index])
-
-    def costs(self, index: int) -> PortfolioCosts:
-        """Materialize full :class:`PortfolioCosts` at one scale.
-
-        Object construction is deferred to here so array-only consumers
-        (benchmarks, sinks) never pay for it; the materialized costs are
-        bit-identical to :meth:`PortfolioDecomposition.evaluate` because
-        every constructor argument is drawn from the solved arrays.
-        """
-        systems = self.decomposition.portfolio.systems
-        costs = tuple(
-            TotalCost(
-                re=self.decomposition.re[i],
-                amortized_nre=NRECost(
-                    modules=float(self.nre_modules[index][i]),
-                    chips=float(self.nre_chips[index][i]),
-                    packages=float(self.nre_packages[index][i]),
-                    d2d=float(self.nre_d2d[index][i]),
-                ),
-                quantity=float(self.quantities[index][i]),
-            )
-            for i in range(len(systems))
-        )
-        return PortfolioCosts(
-            portfolio=self.decomposition.portfolio,
-            volume_scale=self.scales[index],
-            costs=costs,
-            average=float(self.averages[index]),
-        )
 
 
 class _CategoryMatrices:
@@ -553,21 +511,6 @@ class PortfolioEngine:
         """Price every member of ``portfolio`` in one batched call."""
         return self.decompose(portfolio, die_cost_fn).evaluate(volume_scale)
 
-    def amortized_cost(self, portfolio: Portfolio, system: System) -> TotalCost:
-        """Drop-in for :meth:`Portfolio.amortized_cost` (bit-identical)."""
-        for index, member in enumerate(portfolio.systems):
-            if member is system:
-                return self.decompose(portfolio).total_cost(index)
-        raise InvalidParameterError(
-            f"system {system.name!r} is not part of this portfolio"
-        )
-
-    def average_cost(
-        self, portfolio: Portfolio, volume_scale: float = 1.0
-    ) -> float:
-        """Drop-in for :meth:`Portfolio.average_cost`, with volume scaling."""
-        return self.evaluate(portfolio, volume_scale).average
-
     def volume_solve(
         self,
         portfolio: Portfolio,
@@ -582,75 +525,6 @@ class PortfolioEngine:
         """
         return self.decompose(portfolio, die_cost_fn).solve(scales)
 
-    def volume_sweep(
-        self,
-        name: str,
-        portfolio: Portfolio,
-        scales: Sequence[float],
-        die_cost_fn: "Callable | None" = None,
-    ) -> Sweep:
-        """Closed-form sweep over volume scales.
-
-        Each point carries the full :class:`PortfolioCosts` at that
-        scale; the numbers come from one vectorized
-        :meth:`volume_solve` (RE costs, NRE vectors and — with numpy —
-        all share sums are computed once across every point), then
-        materialize into cost objects per point.
-        """
-        if not scales:
-            raise InvalidParameterError("sweep needs at least one value")
-        solve = self.volume_solve(portfolio, scales, die_cost_fn)
-        points = tuple(
-            SweepPoint(x=scale, value=solve.costs(index))
-            for index, scale in enumerate(solve.scales)
-        )
-        return Sweep(name=name, points=points)
-
-    # ------------------------------------------------------------------
-    # study-level conveniences (SCMS / OCME / FSMC)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def study_portfolios(study: object) -> dict[str, Portfolio]:
-        """The named portfolios of an SCMS/OCME/FSMC study dataclass."""
-        if not dataclasses.is_dataclass(study):
-            raise InvalidParameterError(
-                f"expected a reuse-study dataclass, got {type(study).__name__}"
-            )
-        portfolios = {
-            spec_field.name: getattr(study, spec_field.name)
-            for spec_field in dataclasses.fields(study)
-            if isinstance(getattr(study, spec_field.name), Portfolio)
-        }
-        if not portfolios:
-            raise InvalidParameterError(
-                f"{type(study).__name__} holds no portfolios"
-            )
-        return portfolios
-
-    def evaluate_study(
-        self,
-        study: object,
-        volume_scale: float = 1.0,
-        die_cost_fn: "Callable | None" = None,
-    ) -> Mapping[str, PortfolioCosts]:
-        """Price every portfolio of a reuse study in one batched pass."""
-        return {
-            name: self.evaluate(portfolio, volume_scale, die_cost_fn)
-            for name, portfolio in self.study_portfolios(study).items()
-        }
-
     def clear_caches(self) -> None:
         """Drop cached decompositions (the cost engine keeps its own)."""
         self._decompositions.clear()
-
-
-_default_portfolio_engine: PortfolioEngine | None = None
-
-
-def default_portfolio_engine() -> PortfolioEngine:
-    """The process-wide portfolio engine over :func:`default_engine`."""
-    global _default_portfolio_engine
-    if _default_portfolio_engine is None:
-        _default_portfolio_engine = PortfolioEngine()
-    return _default_portfolio_engine

@@ -5,7 +5,7 @@ from repro.explore.partition import (
     partition_monolith,
     soc_reference,
 )
-from repro.explore.sweep import Sweep, SweepPoint, run_sweep
+from repro.explore.sweep import Sweep, SweepPoint
 from repro.explore.decide import (
     IntegrationChoice,
     choose_integration,
@@ -15,7 +15,7 @@ from repro.explore.decide import (
     moore_limit_proximity,
 )
 from repro.explore.heterogeneity import CenterNodeComparison, compare_center_nodes
-from repro.explore.sensitivity import SensitivityResult, system_tornado, tornado
+from repro.explore.sensitivity import SensitivityResult, system_tornado
 from repro.explore.montecarlo import (
     CostDistribution,
     monte_carlo_cost,
@@ -66,7 +66,6 @@ __all__ = [
     "soc_reference",
     "Sweep",
     "SweepPoint",
-    "run_sweep",
     "IntegrationChoice",
     "choose_integration",
     "multichip_payback_quantity",
@@ -77,7 +76,6 @@ __all__ = [
     "compare_center_nodes",
     "SensitivityResult",
     "system_tornado",
-    "tornado",
     "CostDistribution",
     "monte_carlo_cost",
     "monte_carlo_cost_naive",

@@ -4,18 +4,19 @@ Propagates defect-density uncertainty (``repro.yieldmodel.sampling``)
 through a system's RE cost, yielding a distribution summary.  Pure
 standard library; deterministic given the seed.
 
-Two evaluation paths produce identical samples:
+Two implementations produce identical samples:
 
-* the **fast path** (default when no custom metric is given) compiles a
+* :func:`monte_carlo_cost` compiles a
   :class:`repro.engine.fastmc.MonteCarloPlan` once and evaluates each
   draw as closed-form float arithmetic on re-sampled yields, drawing
   the prior stream vectorized via ``repro.engine.rng``'s MT19937 state
   transplant (registry die-cost overrides re-price per draw through
   the same plan);
-* the **naive path** (:func:`monte_carlo_cost_naive`) rebuilds a fully
-  validated ``System``/``Chip`` graph per draw.  It is kept as the
-  parity oracle — ``tests/test_engine.py`` asserts draw-for-draw
-  agreement — and as the only path supporting a custom ``metric``.
+* :func:`monte_carlo_cost_naive` rebuilds a fully validated
+  ``System``/``Chip`` graph per draw and prices it with
+  :func:`repro.core.re_cost.compute_re_cost`.  It is the parity
+  oracle: the tests hold the two ``==`` draw for draw, with and
+  without a ``die_cost_fn``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from repro.core.system import System
 from repro.core.chip import Chip
 from repro.errors import InvalidParameterError
 from repro.yieldmodel.sampling import DefectDensityPrior
-
-_METHODS = ("auto", "fast", "naive")
 
 
 @dataclass(frozen=True)
@@ -103,25 +102,29 @@ def monte_carlo_cost_naive(
     draws: int = 500,
     sigma: float = 0.15,
     seed: int = 0,
-    metric: Callable[[System], float] | None = None,
+    die_cost_fn: Callable | None = None,
 ) -> CostDistribution:
     """Object-rebuilding Monte-Carlo sampler (the parity oracle).
 
-    Rebuilds a perturbed, fully validated system per draw and evaluates
-    ``metric`` (default: total RE cost per unit) on it.  Slow but
-    assumption-free; :func:`monte_carlo_cost` routes here only for
-    custom metrics or on explicit request.
+    Rebuilds a perturbed, fully validated system per draw and prices
+    its total RE cost per unit with
+    :func:`repro.core.re_cost.compute_re_cost` (under ``die_cost_fn``
+    when given).  Slow but assumption-free; it takes the same
+    arguments as :func:`monte_carlo_cost` and returns the same samples.
     """
     if draws <= 0:
         raise InvalidParameterError(f"draws must be > 0, got {draws}")
     rng = random.Random(seed)
     node_names = sorted({chip.node.name for chip in system.chips})
     prior = DefectDensityPrior(mode=1.0, sigma=sigma)
-    evaluate = metric or (lambda s: compute_re_cost(s).total)
     samples = []
     for _ in range(draws):
         scales = {name: prior.sample(rng) for name in node_names}
-        samples.append(evaluate(_perturbed_system(system, scales)))
+        samples.append(
+            compute_re_cost(
+                _perturbed_system(system, scales), die_cost_fn=die_cost_fn
+            ).total
+        )
     return CostDistribution(samples=tuple(samples))
 
 
@@ -130,65 +133,35 @@ def monte_carlo_cost(
     draws: int = 500,
     sigma: float = 0.15,
     seed: int = 0,
-    metric: Callable[[System], float] | None = None,
-    method: str = "auto",
     die_cost_fn: Callable | None = None,
 ) -> CostDistribution:
     """Sample the per-unit RE cost under defect-density uncertainty.
 
     Each draw scales every logic node's defect density by an independent
     log-normal factor with the given sigma (the packaging carrier yields
-    stay at their catalog values; perturbing them as well is a one-line
-    extension through ``metric``).
+    stay at their catalog values).
 
     Args:
         system: System to price.
         draws: Number of samples.
         sigma: Log-normal sigma of the defect-density factor.
         seed: RNG seed.
-        metric: Override for the sampled quantity; defaults to total RE
-            cost per unit.  A custom metric always uses the naive path.
-        method: ``"auto"`` (closed-form fast path unless a metric is
-            given), ``"fast"`` (closed form; rejects a metric) or
-            ``"naive"`` (per-draw object rebuilding).
         die_cost_fn: Optional ``(node, area) -> DieCost`` override
             (registry-named yield models / wafer geometries,
             :meth:`repro.config.ConfigRegistries.die_cost_fn`) applied
-            to every draw on every path — the fast plan re-prices each
-            draw's chips through it on defect-scaled nodes, so
-            ``method="fast"`` accepts overrides uniformly.
+            to every draw — the closed-form plan re-prices each draw's
+            chips through it on defect-scaled nodes.
     """
-    if method not in _METHODS:
-        raise InvalidParameterError(
-            f"method must be one of {_METHODS}, got {method!r}"
-        )
-    if die_cost_fn is not None and metric is not None:
-        raise InvalidParameterError(
-            "pass either metric or die_cost_fn, not both"
-        )
-    if method == "fast" and metric is not None:
-        raise InvalidParameterError(
-            "the closed-form fast path samples the RE total; "
-            "use method='naive' (or 'auto') for a custom metric"
-        )
-    if metric is None and method != "naive":
-        from repro.engine.fastmc import sample_re_costs
+    from repro.engine.fastmc import sample_re_costs
 
-        return CostDistribution(
-            samples=tuple(
-                sample_re_costs(
-                    system,
-                    draws=draws,
-                    sigma=sigma,
-                    seed=seed,
-                    die_cost_fn=die_cost_fn,
-                )
+    return CostDistribution(
+        samples=tuple(
+            sample_re_costs(
+                system,
+                draws=draws,
+                sigma=sigma,
+                seed=seed,
+                die_cost_fn=die_cost_fn,
             )
         )
-    if die_cost_fn is not None:
-        metric = lambda s: compute_re_cost(  # noqa: E731
-            s, die_cost_fn=die_cost_fn
-        ).total
-    return monte_carlo_cost_naive(
-        system, draws=draws, sigma=sigma, seed=seed, metric=metric
     )

@@ -1,9 +1,9 @@
 """One-at-a-time parameter sensitivity (tornado analysis).
 
-Perturbs a named model parameter by +/- a relative step, re-evaluates a
-user-supplied cost function, and reports the swing.  Used by the
-ablation benchmarks to show which assumptions the paper's conclusions
-actually hinge on.
+Perturbs each named model parameter by +/- a relative step, prices the
+perturbed systems on the batch engine, and reports the swing.  The
+scenario ``sensitivity`` study uses it to show which assumptions the
+paper's conclusions hinge on.
 """
 
 from __future__ import annotations
@@ -45,39 +45,6 @@ class SensitivityResult:
         return self.swing / abs(self.base)
 
 
-def tornado(
-    parameters: Sequence[str],
-    evaluate: Callable[[str, float], float],
-    step: float = 0.2,
-) -> list[SensitivityResult]:
-    """Evaluate a tornado study.
-
-    Args:
-        parameters: Parameter names to perturb.
-        evaluate: Callback ``(parameter, scale) -> cost`` where ``scale``
-            multiplies the nominal parameter value (1.0 = nominal).
-        step: Relative perturbation (0.2 = +/-20%).
-
-    Returns:
-        Results sorted by swing, largest first.
-    """
-    if not parameters:
-        raise InvalidParameterError("need at least one parameter")
-    if not 0.0 < step < 1.0:
-        raise InvalidParameterError(f"step must be in (0, 1), got {step}")
-    results = []
-    for parameter in parameters:
-        base = evaluate(parameter, 1.0)
-        low = evaluate(parameter, 1.0 - step)
-        high = evaluate(parameter, 1.0 + step)
-        results.append(
-            SensitivityResult(
-                parameter=parameter, base=base, low=low, high=high, step=step
-            )
-        )
-    return sorted(results, key=lambda result: result.swing, reverse=True)
-
-
 def system_tornado(
     parameters: Sequence[str],
     builder: Callable[[str, float], "System"],
@@ -87,13 +54,21 @@ def system_tornado(
 ) -> list[SensitivityResult]:
     """Tornado study over systems, evaluated on the batch engine.
 
-    Like :func:`tornado`, but the callback builds the perturbed
-    :class:`~repro.core.system.System` instead of computing the cost
-    itself; all ``3 * len(parameters)`` evaluations run as one
-    ``evaluate_many`` batch (shared caches) with the per-unit RE total
-    as the metric.  ``die_cost_fn`` optionally
-    reprices every evaluation (registry-named yield models / wafer
-    geometries).
+    Args:
+        parameters: Parameter names to perturb.
+        builder: Callback ``(parameter, scale) -> System`` where
+            ``scale`` multiplies the nominal parameter value (1.0 =
+            nominal).
+        step: Relative perturbation (0.2 = +/-20%).
+        engine: The engine to price on (default: the process-wide one).
+        die_cost_fn: Optional die-pricing override applied to every
+            evaluation (registry-named yield models / wafer geometries).
+
+    All ``3 * len(parameters)`` evaluations run as one ``evaluate_many``
+    batch (shared caches) with the per-unit RE total as the metric.
+
+    Returns:
+        Results sorted by swing, largest first.
     """
     from repro.engine.costengine import default_engine
 

@@ -1,24 +1,18 @@
-"""Generic parameter-sweep engine.
+"""Parameter-sweep results.
 
-A sweep maps a sequence of parameter values through a builder (value ->
-system) and an evaluator (system -> cost), collecting
-:class:`SweepPoint` rows that the reporting layer can print or export.
-
-Execution routes through :class:`repro.engine.costengine.CostEngine`,
-which memoizes die costs and packaging decompositions across points and
-can fan evaluations out to a worker pool.
+A sweep is an ordered sequence of :class:`SweepPoint` rows (parameter
+value, evaluation) that the reporting layer can print or export.
+:meth:`repro.engine.costengine.CostEngine.sweep` and
+:meth:`~repro.engine.costengine.CostEngine.partition_sweep` produce
+them, memoizing die costs and packaging coefficients across points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generic, Sequence, TypeVar
+from typing import Callable, Generic, TypeVar
 
-from repro.core.system import System
 from repro.errors import InvalidParameterError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.costengine import CostEngine
 
 X = TypeVar("X")
 Y = TypeVar("Y")
@@ -57,26 +51,3 @@ class Sweep(Generic[X, Y]):
         if not self.points:
             raise InvalidParameterError(f"sweep {self.name!r} is empty")
         return min(self.points, key=lambda point: key(point.value))
-
-
-def run_sweep(
-    name: str,
-    values: Sequence[X],
-    builder: Callable[[X], System],
-    evaluator: Callable[[System], Y],
-    engine: "CostEngine | None" = None,
-) -> Sweep[X, Y]:
-    """Evaluate ``builder(value)`` with ``evaluator`` for every value.
-
-    Args:
-        name: Sweep label.
-        values: Parameter values.
-        builder: Maps a value to the system to price.
-        evaluator: Maps a system to the recorded result.
-        engine: :class:`~repro.engine.costengine.CostEngine` to run on;
-            defaults to the process-wide shared engine.
-    """
-    from repro.engine.costengine import default_engine
-
-    eng = engine if engine is not None else default_engine()
-    return eng.sweep(name, values, builder, evaluator=evaluator)

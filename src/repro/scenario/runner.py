@@ -19,11 +19,10 @@ accepts
 :meth:`repro.config.ConfigRegistries.die_cost_fn` into a die-pricing
 override threaded into the engine entry point the executor uses —
 unknown names raise a :class:`~repro.errors.ConfigError` naming the
-study and listing the available entries.  That includes ``montecarlo``
-with ``method: "fast"``: the closed-form plan re-prices each draw
-through the override while drawing its prior stream vectorized
-(``repro.engine.rng``), so naming a model never forces the naive
-sampler.  ``reuse`` studies run on the vectorized
+study and listing the available entries.  ``montecarlo`` studies run
+the closed-form sampler, which re-prices each draw through the
+override while drawing its prior stream vectorized
+(``repro.engine.rng``).  ``reuse`` studies run on the vectorized
 :class:`~repro.engine.fastportfolio.PortfolioEngine` and may declare a
 closed-form ``volume_sweep`` (a list of volume scales) whose per-scale
 averages render as an extra table and export through the sinks.
@@ -489,7 +488,6 @@ def _run_montecarlo(
         draws=study.draws,
         sigma=study.sigma,
         seed=study.seed,
-        method=study.method,
         die_cost_fn=runner._die_cost_override(registries, study),
     )
     table = Table(

@@ -159,9 +159,9 @@ class MonteCarloStudy:
     """RE-cost distribution under defect-density uncertainty.
 
     A named ``yield_model`` / ``wafer_geometry`` reprices every draw
-    through the registry entry on every method — the closed-form fast
-    plan re-prices each draw's chips through the override on
-    defect-scaled nodes, draw-for-draw identical to the naive sampler.
+    through the registry entry — the closed-form plan re-prices each
+    draw's chips through the override on defect-scaled nodes,
+    draw-for-draw identical to the naive sampler.
     """
 
     kind = "montecarlo"
@@ -174,7 +174,6 @@ class MonteCarloStudy:
     draws: int = 500
     sigma: float = 0.15
     seed: int = 0
-    method: str = "auto"
     precision: str = "exact"
     yield_model: str = ""
     wafer_geometry: str = ""

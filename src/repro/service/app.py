@@ -21,11 +21,13 @@ Endpoints (all JSON; errors are ``{"error": {"type", "message"}}``):
   hash, cache and batcher statistics.
 
 Status mapping: model/schema errors
-(:class:`~repro.errors.ChipletActuaryError`) are 400, capacity
-(queue full / shutting down) is 503, unknown paths 404, everything
-else 500.  The server is a plain ``ThreadingHTTPServer`` — no new
-dependencies — constructed by :func:`make_server` (port 0 picks a free
-port; the chosen one is on ``server.server_address``).
+(:class:`~repro.errors.ChipletActuaryError`) are 400, a body over
+:data:`MAX_BODY_BYTES` is 413 (:class:`BodyTooLargeError`; the body
+is left unread and the connection closed), capacity (queue full /
+shutting down) is 503, unknown paths 404, everything else 500.  The
+server is a plain ``ThreadingHTTPServer`` — no new dependencies —
+constructed by :func:`make_server` (port 0 picks a free port; the
+chosen one is on ``server.server_address``).
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ from repro.service.state import ServiceState
 #: Largest accepted request body (a scenario document is a few KB; a
 #: megabyte of JSON is a mistake, not a design).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+
+class BodyTooLargeError(InvalidParameterError):
+    """Raised when a request declares a body over :data:`MAX_BODY_BYTES`
+    (the HTTP layer maps this to 413 and closes the connection)."""
 
 
 class CostServiceServer(ThreadingHTTPServer):
@@ -151,7 +158,10 @@ class _Handler(BaseHTTPRequestHandler):
         if length <= 0:
             raise InvalidParameterError("request needs a JSON body")
         if length > MAX_BODY_BYTES:
-            raise InvalidParameterError(
+            # The body stays unread, so its bytes must not be parsed as
+            # a keep-alive follow-up request.
+            self.close_connection = True
+            raise BodyTooLargeError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
@@ -199,6 +209,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             handler()
+        except BodyTooLargeError as error:
+            self._send_error_json(413, error)
         except (QueueFullError, BatcherClosed) as error:
             self._send_error_json(503, error)
         except ChipletActuaryError as error:
@@ -325,6 +337,7 @@ class ServerThread:
 
 
 __all__ = [
+    "BodyTooLargeError",
     "CostServiceServer",
     "MAX_BODY_BYTES",
     "ServerThread",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.chip import Chip
@@ -13,6 +15,7 @@ from repro.packaging.interposer import interposer_25d
 from repro.packaging.mcm import mcm
 from repro.packaging.soc import soc_package
 from repro.process.catalog import get_node
+from repro.reuse.portfolio import Portfolio
 
 
 @pytest.fixture
@@ -81,3 +84,20 @@ def simple_mcm(simple_chiplet, mcm_tech):
         integration=mcm_tech,
         quantity=1e6,
     )
+
+
+@pytest.fixture
+def study_portfolios():
+    """``study -> [Portfolio, ...]``: the portfolio fields of an
+    SCMS/OCME/FSMC study dataclass, in field order."""
+
+    def portfolios(study):
+        found = [
+            getattr(study, field.name)
+            for field in dataclasses.fields(study)
+            if isinstance(getattr(study, field.name), Portfolio)
+        ]
+        assert found, f"{type(study).__name__} holds no portfolios"
+        return found
+
+    return portfolios

@@ -1,6 +1,9 @@
 """Extended CLI commands: sweep and montecarlo."""
 
+import pytest
+
 from repro.cli import main
+from repro.explore import montecarlo
 
 
 def run_cli(capsys, *argv):
@@ -77,35 +80,46 @@ class TestMonteCarlo:
 
 
 class TestMonteCarloRegistryOverrides:
-    """CLI `montecarlo --method fast` with registry-named die pricing."""
+    """CLI `montecarlo` with registry-named die pricing."""
 
     def test_fast_with_registry_names_succeeds(self, capsys):
         code, out, _err = run_cli(
             capsys,
             "montecarlo", "--area", "400", "--node", "5nm",
-            "--draws", "40", "--method", "fast",
+            "--draws", "40",
             "--yield-model", "poisson", "--wafer-geometry", "300mm",
         )
         assert code == 0
         for label in ("mean", "std", "p05", "p50", "p95"):
             assert label in out
 
-    def test_fast_matches_naive_with_registry_names(self, capsys):
-        base = [
+    def test_fast_matches_naive_with_registry_names(self, capsys, monkeypatch):
+        """The CLI table is the one the object-rebuilding oracle gives
+        under the same registry-named die pricing."""
+        args = [
             "montecarlo", "--area", "800", "--node", "5nm",
             "--integration", "2.5d", "--chiplets", "4",
             "--draws", "60", "--seed", "7",
             "--yield-model", "murphy", "--wafer-geometry", "300mm",
         ]
-        code_fast, fast, _ = run_cli(capsys, *base, "--method", "fast")
-        code_naive, naive, _ = run_cli(capsys, *base, "--method", "naive")
+        code_fast, fast, _ = run_cli(capsys, *args)
+        monkeypatch.setattr(
+            montecarlo, "monte_carlo_cost", montecarlo.monte_carlo_cost_naive
+        )
+        code_naive, naive, _ = run_cli(capsys, *args)
         assert code_fast == code_naive == 0
         assert fast == naive
+
+    def test_method_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["montecarlo", "--area", "400", "--method", "naive"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --method naive" in capsys.readouterr().err
 
     def test_registry_names_change_the_numbers(self, capsys):
         base = [
             "montecarlo", "--area", "400", "--node", "5nm",
-            "--draws", "40", "--seed", "3", "--method", "fast",
+            "--draws", "40", "--seed", "3",
         ]
         _code, plain, _ = run_cli(capsys, *base)
         _code, priced, _ = run_cli(capsys, *base, "--yield-model", "poisson")
@@ -115,7 +129,7 @@ class TestMonteCarloRegistryOverrides:
         code, _out, err = run_cli(
             capsys,
             "montecarlo", "--area", "400", "--node", "5nm",
-            "--draws", "10", "--method", "fast",
+            "--draws", "10",
             "--yield-model", "nope",
         )
         assert code == 2
@@ -127,7 +141,7 @@ class TestMonteCarloRegistryOverrides:
         code, _out, err = run_cli(
             capsys,
             "montecarlo", "--area", "400", "--node", "5nm",
-            "--draws", "10", "--method", "fast",
+            "--draws", "10",
             "--wafer-geometry", "nope",
         )
         assert code == 2

@@ -47,8 +47,7 @@ from repro.explore.partition import (
     partition_monolith,
     soc_reference,
 )
-from repro.explore.sensitivity import system_tornado, tornado
-from repro.explore.sweep import run_sweep
+from repro.explore.sensitivity import system_tornado
 from repro.packaging.info import info
 from repro.packaging.interposer import interposer_25d
 from repro.packaging.mcm import mcm
@@ -197,14 +196,16 @@ class TestFastMonteCarlo:
     @pytest.mark.parametrize("index", range(6))
     def test_fast_matches_naive_oracle(self, index):
         system = _systems()[index]
-        fast = monte_carlo_cost(system, draws=40, sigma=0.2, seed=11, method="fast")
+        fast = monte_carlo_cost(system, draws=40, sigma=0.2, seed=11)
         naive = monte_carlo_cost_naive(system, draws=40, sigma=0.2, seed=11)
         assert fast.samples == naive.samples
 
     def test_auto_dispatch_matches_naive(self, n5):
+        """The one front door (default arguments) samples exactly what
+        the object-rebuilding oracle samples."""
         system = soc_reference(500.0, n5)
         auto = monte_carlo_cost(system, draws=30, seed=5)
-        naive = monte_carlo_cost(system, draws=30, seed=5, method="naive")
+        naive = monte_carlo_cost_naive(system, draws=30, seed=5)
         assert auto.samples == naive.samples
 
     def test_sample_re_costs_plan_reuse(self, n5):
@@ -220,37 +221,23 @@ class TestFastMonteCarlo:
         monte_carlo_cost(system, draws=50, sigma=0.3, seed=9)
         assert compute_re_cost(system).total == nominal_before
 
-    def test_custom_metric_uses_naive_path(self, n5):
-        system = soc_reference(300.0, n5)
-        seen = []
-
-        def metric(s: System) -> float:
-            seen.append(s)
-            return compute_re_cost(s).total
-
-        result = monte_carlo_cost(system, draws=5, seed=1, metric=metric)
-        assert len(seen) == 5
-        assert result.samples == monte_carlo_cost(
-            system, draws=5, seed=1, method="fast"
-        ).samples
-
     def test_fast_method_rejects_metric(self, n5):
-        with pytest.raises(InvalidParameterError):
-            monte_carlo_cost(
-                soc_reference(300.0, n5),
-                draws=5,
-                metric=lambda s: 1.0,
-                method="fast",
-            )
+        """Both samplers price the RE total only: a custom ``metric`` is
+        not a parameter of either."""
+        system = soc_reference(300.0, n5)
+        for sampler in (monte_carlo_cost, monte_carlo_cost_naive):
+            with pytest.raises(TypeError):
+                sampler(system, draws=5, metric=lambda s: 1.0)
 
     def test_invalid_method_and_draws(self, n5):
+        """Non-positive draws are rejected on both paths, and the
+        removed ``method`` selector is not a parameter any more."""
         system = soc_reference(300.0, n5)
-        with pytest.raises(InvalidParameterError):
-            monte_carlo_cost(system, method="warp")
-        with pytest.raises(InvalidParameterError):
-            monte_carlo_cost(system, draws=0)
-        with pytest.raises(InvalidParameterError):
-            monte_carlo_cost(system, draws=0, method="naive")
+        for sampler in (monte_carlo_cost, monte_carlo_cost_naive):
+            with pytest.raises(InvalidParameterError):
+                sampler(system, draws=0)
+            with pytest.raises(TypeError):
+                sampler(system, method="naive")
 
 
 class TestFastPartitionSweep:
@@ -301,8 +288,6 @@ class TestFastPartitionSweep:
             for count in counts:
                 built = compute_re_cost(partition_monolith(area, n7, count, mcm()))
                 assert grid.value(area, count).total == built.total
-        row = grid.row_sweep(300.0)
-        assert row.xs() == [1, 2, 4]
 
     def test_grid_errors(self, n7):
         engine = CostEngine()
@@ -311,8 +296,6 @@ class TestFastPartitionSweep:
         grid = engine.partition_grid("g", [300.0], [2], n7, mcm())
         with pytest.raises(InvalidParameterError):
             grid.value(999.0, 2)
-        with pytest.raises(InvalidParameterError):
-            grid.row_sweep(999.0)
 
 
 class TestCostDistribution:
@@ -342,22 +325,15 @@ class TestCostDistribution:
 
 
 class TestBatchFrontends:
-    def test_run_sweep_matches_manual_loop(self, n5):
+    def test_engine_sweep_matches_manual_loop(self, n5):
         values = [200.0, 400.0, 600.0]
-        sweep = run_sweep(
-            "re-vs-area",
-            values,
-            lambda area: soc_reference(area, n5),
-            lambda system: compute_re_cost(system).total,
+        sweep = CostEngine().sweep(
+            "re-vs-area", values, lambda area: soc_reference(area, n5)
         )
         assert sweep.xs() == values
-        assert sweep.values() == [
+        assert [cost.total for cost in sweep.values()] == [
             compute_re_cost(soc_reference(area, n5)).total for area in values
         ]
-
-    def test_run_sweep_empty_values_rejected(self, n5):
-        with pytest.raises(InvalidParameterError):
-            run_sweep("empty", [], lambda a: soc_reference(a, n5), lambda s: 0.0)
 
     def test_engine_sweep_default_evaluator_is_re_cost(self, n5):
         engine = CostEngine()
@@ -373,16 +349,29 @@ class TestBatchFrontends:
             node = n5.with_defect_density(n5.defect_density * density)
             return partition_monolith(800.0, node, 2, mcm(), d2d_fraction=d2d)
 
-        def evaluate(parameter: str, scale: float) -> float:
-            return compute_re_cost(build(parameter, scale)).total
+        def callback_tornado(parameters, step):
+            """One naive ``compute_re_cost`` per (parameter, scale)."""
+            rows = [
+                tuple(
+                    compute_re_cost(build(parameter, scale)).total
+                    for scale in (1.0, 1.0 - step, 1.0 + step)
+                )
+                for parameter in parameters
+            ]
+            return sorted(
+                zip(parameters, rows),
+                key=lambda row: abs(row[1][2] - row[1][1]),
+                reverse=True,
+            )
 
-        fast = system_tornado(["d2d", "defect_density"], build, step=0.2)
-        oracle = tornado(["d2d", "defect_density"], evaluate, step=0.2)
-        assert [r.parameter for r in fast] == [r.parameter for r in oracle]
-        for a, b in zip(fast, oracle):
-            assert a.base == b.base
-            assert a.low == b.low
-            assert a.high == b.high
+        parameters = ["d2d", "defect_density"]
+        fast = system_tornado(parameters, build, step=0.2)
+        oracle = callback_tornado(parameters, 0.2)
+        assert [r.parameter for r in fast] == [name for name, _ in oracle]
+        for result, (_name, (base, low, high)) in zip(fast, oracle):
+            assert result.base == base
+            assert result.low == low
+            assert result.high == high
 
     def test_system_tornado_validation(self, n5):
         build = lambda p, s: soc_reference(100.0, n5)  # noqa: E731

@@ -10,7 +10,7 @@ from repro.core.total import compute_total_cost
 from repro.engine import CostEngine
 from repro.engine.fastportfolio import PortfolioEngine
 from repro.errors import ConfigError
-from repro.explore.montecarlo import monte_carlo_cost
+from repro.explore.montecarlo import monte_carlo_cost, monte_carlo_cost_naive
 from repro.explore.partition import partition_monolith, soc_reference
 from repro.packaging.mcm import mcm
 from repro.process.catalog import get_node
@@ -49,13 +49,9 @@ class TestEngineEquivalence:
 
     def test_monte_carlo(self, system):
         fn = _die_cost_fn()
-        samples = CostEngine().monte_carlo(
-            system, draws=50, seed=3, die_cost_fn=fn
-        )
-        naive = monte_carlo_cost(
-            system, draws=50, seed=3, method="naive", die_cost_fn=fn
-        )
-        assert tuple(samples) == tuple(naive.samples)
+        priced = monte_carlo_cost(system, draws=50, seed=3, die_cost_fn=fn)
+        naive = monte_carlo_cost_naive(system, draws=50, seed=3, die_cost_fn=fn)
+        assert priced.samples == naive.samples
 
     def test_evaluate_many(self, system):
         fn = _die_cost_fn()
@@ -77,13 +73,12 @@ class TestEngineEquivalence:
             for area in (200.0, 300.0)
         ]
 
-        def grid_builder(area, count):
-            return partition_monolith(area, node, count, mcm())
-
-        grid = engine.grid("g", [300.0], [2, 3], grid_builder, die_cost_fn=fn)
+        grid = engine.partition_grid(
+            "g", [300.0], [2, 3], node, mcm(), die_cost_fn=fn
+        )
         for count in (2, 3):
             assert grid.value(300.0, count) == compute_re_cost(
-                grid_builder(300.0, count), die_cost_fn=fn
+                partition_monolith(300.0, node, count, mcm()), die_cost_fn=fn
             )
 
 

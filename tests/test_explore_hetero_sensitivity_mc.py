@@ -11,7 +11,7 @@ from repro.errors import InvalidParameterError
 from repro.explore.heterogeneity import compare_center_nodes
 from repro.explore.montecarlo import CostDistribution, monte_carlo_cost
 from repro.explore.partition import partition_monolith, soc_reference
-from repro.explore.sensitivity import tornado
+from repro.explore.sensitivity import SensitivityResult, system_tornado
 from repro.packaging.mcm import mcm
 from repro.process.catalog import get_node
 
@@ -66,34 +66,34 @@ class TestHeterogeneity:
 
 class TestSensitivity:
     def test_tornado_sorted_by_swing(self, n5):
-        def evaluate(parameter: str, scale: float) -> float:
+        def build(parameter: str, scale: float):
             d2d = 0.10 * scale if parameter == "d2d" else 0.10
             density_scale = scale if parameter == "defect_density" else 1.0
             node = n5.with_defect_density(n5.defect_density * density_scale)
-            system = partition_monolith(800.0, node, 2, mcm(), d2d_fraction=d2d)
-            return compute_re_cost(system).total
+            return partition_monolith(800.0, node, 2, mcm(), d2d_fraction=d2d)
 
-        results = tornado(["d2d", "defect_density"], evaluate, step=0.2)
+        results = system_tornado(["d2d", "defect_density"], build, step=0.2)
         swings = [result.swing for result in results]
         assert swings == sorted(swings, reverse=True)
         # Defect density moves cost more than D2D fraction at 5nm/800mm^2.
         assert results[0].parameter == "defect_density"
 
-    def test_tornado_relative_swing(self, n5):
-        results = tornado(
-            ["x"], lambda p, s: 100.0 * s, step=0.2
+    def test_tornado_relative_swing(self):
+        result = SensitivityResult(
+            parameter="x", base=100.0, low=80.0, high=120.0, step=0.2
         )
-        [result] = results
         assert result.swing == pytest.approx(40.0)
         assert result.relative_swing == pytest.approx(0.4)
 
-    def test_invalid_step(self):
+    def test_invalid_step(self, n5):
+        build = lambda p, s: soc_reference(100.0, n5)  # noqa: E731
         with pytest.raises(InvalidParameterError):
-            tornado(["x"], lambda p, s: 1.0, step=0.0)
+            system_tornado(["x"], build, step=0.0)
 
-    def test_empty_parameters(self):
+    def test_empty_parameters(self, n5):
+        build = lambda p, s: soc_reference(100.0, n5)  # noqa: E731
         with pytest.raises(InvalidParameterError):
-            tornado([], lambda p, s: 1.0)
+            system_tornado([], build)
 
 
 class TestMonteCarlo:

@@ -1,11 +1,12 @@
-"""Partitioning and the generic sweep engine."""
+"""Partitioning and sweep results."""
 
 import pytest
 
 from repro.core.re_cost import compute_re_cost
 from repro.errors import InvalidParameterError
 from repro.explore.partition import partition_monolith, soc_reference
-from repro.explore.sweep import Sweep, SweepPoint, run_sweep
+from repro.engine.costengine import CostEngine
+from repro.explore.sweep import Sweep, SweepPoint
 from repro.packaging.mcm import mcm
 from repro.process.catalog import get_node
 
@@ -58,17 +59,6 @@ class TestPartition:
 
 
 class TestSweep:
-    def test_run_sweep_maps_values(self, n5):
-        sweep = run_sweep(
-            "areas",
-            [100.0, 400.0, 800.0],
-            lambda area: soc_reference(area, n5),
-            lambda system: compute_re_cost(system).total,
-        )
-        assert sweep.xs() == [100.0, 400.0, 800.0]
-        values = sweep.values()
-        assert values == sorted(values)
-
     def test_map_values(self):
         sweep = Sweep(
             "s", (SweepPoint(1, {"a": 2.0}), SweepPoint(2, {"a": 4.0}))
@@ -82,6 +72,6 @@ class TestSweep:
 
     def test_empty_sweep_rejected(self, n5):
         with pytest.raises(InvalidParameterError):
-            run_sweep("x", [], lambda v: None, lambda s: 0.0)
+            CostEngine().sweep("x", [], lambda v: None)
         with pytest.raises(InvalidParameterError):
             Sweep("s", ()).argmin(lambda v: v)

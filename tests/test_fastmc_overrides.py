@@ -2,9 +2,9 @@
 
 Two contracts:
 
-* ``method="fast"`` accepts registry-named yield models / wafer
+* ``monte_carlo_cost`` accepts registry-named yield models / wafer
   geometries (``die_cost_fn``) and stays draw-for-draw bit-identical
-  to the object-rebuilding naive sampler under them;
+  to the object-rebuilding ``monte_carlo_cost_naive`` under them;
 * with numpy absent, the fast and naive samplers still produce the
   identical draw stream from the same seed — the scalar fallback is
   the single per-call code path, not a reimplementation.
@@ -17,7 +17,6 @@ import pytest
 from repro.config import ConfigRegistries
 from repro.engine import fastmc
 from repro.engine import rng as engine_rng
-from repro.engine.costengine import CostEngine
 from repro.engine.fastmc import MonteCarloPlan, sample_re_costs
 from repro.errors import InvalidParameterError
 from repro.explore.montecarlo import monte_carlo_cost, monte_carlo_cost_naive
@@ -45,12 +44,10 @@ class TestFastWithOverrides:
     def test_fast_matches_naive_under_override(self, system):
         override = _override()
         fast = monte_carlo_cost(
-            system, draws=120, sigma=0.2, seed=11, method="fast",
-            die_cost_fn=override,
+            system, draws=120, sigma=0.2, seed=11, die_cost_fn=override
         )
-        naive = monte_carlo_cost(
-            system, draws=120, sigma=0.2, seed=11, method="naive",
-            die_cost_fn=override,
+        naive = monte_carlo_cost_naive(
+            system, draws=120, sigma=0.2, seed=11, die_cost_fn=override
         )
         assert fast.samples == naive.samples
 
@@ -60,17 +57,16 @@ class TestFastWithOverrides:
         auto = monte_carlo_cost(
             system, draws=90, seed=3, die_cost_fn=override
         )
-        naive = monte_carlo_cost(
-            system, draws=90, seed=3, method="naive", die_cost_fn=override
+        naive = monte_carlo_cost_naive(
+            system, draws=90, seed=3, die_cost_fn=override
         )
         assert auto.samples == naive.samples
 
     def test_override_changes_the_distribution(self):
         system = partition_monolith(600.0, get_node("5nm"), 3, mcm())
-        base = monte_carlo_cost(system, draws=60, seed=1, method="fast")
+        base = monte_carlo_cost(system, draws=60, seed=1)
         priced = monte_carlo_cost(
-            system, draws=60, seed=1, method="fast",
-            die_cost_fn=_override("poisson", "300mm"),
+            system, draws=60, seed=1, die_cost_fn=_override("poisson", "300mm")
         )
         assert base.samples != priced.samples
 
@@ -91,14 +87,6 @@ class TestFastWithOverrides:
         )
         assert priced.terms[0].raw > plain.terms[0].raw
 
-    def test_metric_with_override_still_rejected(self):
-        system = soc_reference(300.0, get_node("7nm"))
-        with pytest.raises(InvalidParameterError, match="metric"):
-            monte_carlo_cost(
-                system, draws=5, metric=lambda s: 1.0,
-                die_cost_fn=_override(),
-            )
-
     def test_evaluate_batch_rejects_override_plans(self):
         pytest.importorskip("numpy")
         system = partition_monolith(500.0, get_node("7nm"), 2, mcm())
@@ -107,17 +95,16 @@ class TestFastWithOverrides:
             plan.evaluate_batch([[1.0]])
 
     def test_engine_monte_carlo_front_end(self):
+        """The engine-layer sampler behind ``monte_carlo_cost`` matches
+        the oracle with and without an override."""
         system = partition_monolith(800.0, get_node("5nm"), 4, mcm())
-        engine = CostEngine()
-        samples = engine.monte_carlo(system, draws=80, sigma=0.25, seed=9)
+        samples = sample_re_costs(system, draws=80, sigma=0.25, seed=9)
         naive = monte_carlo_cost_naive(system, draws=80, sigma=0.25, seed=9)
         assert tuple(samples) == naive.samples
         override = _override()
-        priced = engine.monte_carlo(
+        priced = sample_re_costs(system, draws=40, seed=2, die_cost_fn=override)
+        priced_naive = monte_carlo_cost_naive(
             system, draws=40, seed=2, die_cost_fn=override
-        )
-        priced_naive = monte_carlo_cost(
-            system, draws=40, seed=2, method="naive", die_cost_fn=override
         )
         assert tuple(priced) == priced_naive.samples
 
@@ -149,8 +136,8 @@ class TestScalarFallbackStream:
         system = partition_monolith(500.0, get_node("7nm"), 2, mcm())
         override = _override()
         fast = sample_re_costs(system, draws=100, seed=4, die_cost_fn=override)
-        naive = monte_carlo_cost(
-            system, draws=100, seed=4, method="naive", die_cost_fn=override
+        naive = monte_carlo_cost_naive(
+            system, draws=100, seed=4, die_cost_fn=override
         )
         assert tuple(fast) == naive.samples
 

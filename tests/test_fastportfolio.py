@@ -5,10 +5,7 @@ oversized FSMC sockets)."""
 import pytest
 
 from repro.engine.costengine import CostEngine
-from repro.engine.fastportfolio import (
-    PortfolioEngine,
-    default_portfolio_engine,
-)
+from repro.engine.fastportfolio import PortfolioEngine
 from repro.core.system import multichip
 from repro.errors import InvalidParameterError
 from repro.packaging.interposer import interposer_25d
@@ -43,36 +40,28 @@ def _assert_bit_identical(engine, portfolio):
 class TestOracleParity:
     """Engine results must be ``==`` the oracle on the paper studies."""
 
-    def test_scms_fig8(self, engine):
+    def test_scms_fig8(self, engine, study_portfolios):
         for tech in (mcm(), interposer_25d()):
             study = build_scms(SCMSConfig(), tech)
-            for portfolio in PortfolioEngine.study_portfolios(study).values():
+            for portfolio in study_portfolios(study):
                 _assert_bit_identical(engine, portfolio)
 
-    def test_ocme_fig9(self, engine):
+    def test_ocme_fig9(self, engine, study_portfolios):
         study = build_ocme(OCMEConfig(), mcm())
-        for portfolio in PortfolioEngine.study_portfolios(study).values():
+        for portfolio in study_portfolios(study):
             _assert_bit_identical(engine, portfolio)
 
-    def test_fsmc_fig10(self, engine):
+    def test_fsmc_fig10(self, engine, study_portfolios):
         study = build_fsmc(FSMCConfig(n_chiplets=4, k_sockets=3), mcm())
-        for portfolio in PortfolioEngine.study_portfolios(study).values():
+        for portfolio in study_portfolios(study):
             _assert_bit_identical(engine, portfolio)
 
     def test_amortized_cost_drop_in(self, engine):
         study = build_scms(SCMSConfig(), mcm())
         portfolio = study.chiplet_package_reused
-        for system in portfolio.systems:
-            fast = engine.amortized_cost(portfolio, system)
-            oracle = portfolio.amortized_cost(system)
-            assert fast.total == oracle.total
-
-    def test_evaluate_study_covers_every_portfolio(self, engine):
-        study = build_ocme(OCMEConfig(), mcm())
-        costs = engine.evaluate_study(study)
-        assert set(costs) == {
-            "soc", "mcm", "mcm_package_reused", "mcm_heterogeneous"
-        }
+        costs = engine.evaluate(portfolio).costs
+        for index, system in enumerate(portfolio.systems):
+            assert costs[index] == portfolio.amortized_cost(system)
 
 
 class TestVolumeSweep:
@@ -95,25 +84,25 @@ class TestVolumeSweep:
 
     def test_sweep_points(self, engine):
         study = build_fsmc(FSMCConfig(n_chiplets=2, k_sockets=2), mcm())
-        sweep = engine.volume_sweep(
-            "volumes", study.multichip, (0.5, 1.0, 2.0)
-        )
-        assert [point.x for point in sweep.points] == [0.5, 1.0, 2.0]
+        scales = (0.5, 1.0, 2.0)
+        solve = engine.volume_solve(study.multichip, scales)
+        assert solve.scales == scales
         # Higher volume amortizes NRE further: average falls.
-        averages = [point.value.average for point in sweep.points]
+        averages = [solve.point_average(index) for index in range(3)]
         assert averages[0] > averages[1] > averages[2]
         # RE does not depend on volume.
-        for point in sweep.points:
-            assert point.value.costs[0].re.total == (
-                sweep.points[0].value.costs[0].re.total
-            )
+        re_totals = {
+            engine.evaluate(study.multichip, scale).costs[0].re.total
+            for scale in scales
+        }
+        assert len(re_totals) == 1
 
     def test_invalid_scale_rejected(self, engine):
         study = build_fsmc(FSMCConfig(n_chiplets=2, k_sockets=2), mcm())
         with pytest.raises(InvalidParameterError):
             engine.evaluate(study.multichip, volume_scale=0.0)
         with pytest.raises(InvalidParameterError):
-            engine.volume_sweep("empty", study.multichip, ())
+            engine.volume_solve(study.multichip, ())
 
 
 class TestEdgeCases:
@@ -132,15 +121,15 @@ class TestEdgeCases:
         _assert_bit_identical(engine, portfolio)
         # One shared chip design: every system bears the same chip share.
         shares = {
-            engine.amortized_cost(portfolio, system).amortized_nre.chips
-            for system in systems
+            cost.amortized_nre.chips
+            for cost in engine.evaluate(portfolio).costs
         }
         assert len(shares) == 1
 
-    def test_fsmc_more_sockets_than_chiplets(self, engine):
+    def test_fsmc_more_sockets_than_chiplets(self, engine, study_portfolios):
         study = build_fsmc(FSMCConfig(n_chiplets=2, k_sockets=4), mcm())
         assert study.system_count == 2 + 3 + 4 + 5
-        for portfolio in PortfolioEngine.study_portfolios(study).values():
+        for portfolio in study_portfolios(study):
             _assert_bit_identical(engine, portfolio)
 
     def test_non_member_rejected(self, engine, simple_chiplet, mcm_tech):
@@ -148,15 +137,7 @@ class TestEdgeCases:
         outsider = multichip("o", [simple_chiplet], mcm_tech, quantity=1.0)
         portfolio = Portfolio([member])
         with pytest.raises(InvalidParameterError):
-            engine.amortized_cost(portfolio, outsider)
-        with pytest.raises(InvalidParameterError):
-            engine.evaluate(portfolio).cost("outsider")
-        with pytest.raises(InvalidParameterError):
             portfolio.system_design_keys(outsider)
-
-    def test_study_portfolios_rejects_non_study(self):
-        with pytest.raises(InvalidParameterError):
-            PortfolioEngine.study_portfolios(object())
 
 
 class TestCaching:
@@ -166,12 +147,3 @@ class TestCaching:
         assert engine.decompose(study.chiplet) is first
         engine.clear_caches()
         assert engine.decompose(study.chiplet) is not first
-
-    def test_costs_lookup_by_name_and_object(self, engine):
-        study = build_scms(SCMSConfig(), mcm())
-        costs = engine.evaluate(study.chiplet)
-        system = study.chiplet.systems[1]
-        assert costs.cost(system) is costs.cost(system.name)
-
-    def test_default_engine_singleton(self):
-        assert default_portfolio_engine() is default_portfolio_engine()

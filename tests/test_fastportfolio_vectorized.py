@@ -1,6 +1,6 @@
 """Vectorized portfolio solves: bit-parity with the scalar path (and
 hence the Portfolio oracle) on the paper studies and on synthetic
-many-system portfolios, materialization, the numpy-free fallback, and
+many-system portfolios, the numpy-free fallback, and
 die-cost overrides threaded into decompositions."""
 
 import pytest
@@ -70,56 +70,50 @@ def _assert_solve_matches_scalar(engine, portfolio, scales=SCALES):
 class TestPaperStudyParity:
     """solve() == evaluate() element-for-element on Figs. 8-10."""
 
-    def test_scms_fig8(self, engine):
+    def test_scms_fig8(self, engine, study_portfolios):
         study = build_scms(SCMSConfig(), mcm())
-        for portfolio in PortfolioEngine.study_portfolios(study).values():
+        for portfolio in study_portfolios(study):
             _assert_solve_matches_scalar(engine, portfolio)
 
-    def test_ocme_fig9(self, engine):
+    def test_ocme_fig9(self, engine, study_portfolios):
         study = build_ocme(OCMEConfig(), mcm())
-        for portfolio in PortfolioEngine.study_portfolios(study).values():
+        for portfolio in study_portfolios(study):
             _assert_solve_matches_scalar(engine, portfolio)
 
-    def test_fsmc_fig10(self, engine):
+    def test_fsmc_fig10(self, engine, study_portfolios):
         study = build_fsmc(FSMCConfig(n_chiplets=4, k_sockets=3), mcm())
-        for portfolio in PortfolioEngine.study_portfolios(study).values():
+        for portfolio in study_portfolios(study):
             _assert_solve_matches_scalar(engine, portfolio)
 
     def test_volume_sweep_matches_rebuilt_oracle(self, engine):
-        """The vector-backed volume_sweep stays bit-identical to an
+        """Every table of a volume solve stays bit-identical to an
         oracle rebuilt at the scaled quantities."""
         base = SCMSConfig()
         study = build_scms(base, mcm())
-        sweep = engine.volume_sweep("volumes", study.chiplet, SCALES)
-        for point in sweep.points:
+        solve = engine.volume_solve(study.chiplet, SCALES)
+        for index, scale in enumerate(SCALES):
             rebuilt = build_scms(
-                SCMSConfig(quantity=base.quantity * point.x), mcm()
-            )
-            naive = [
-                rebuilt.chiplet.amortized_cost(system)
-                for system in rebuilt.chiplet.systems
-            ]
-            for cost, oracle in zip(point.value.costs, naive):
-                assert cost.total == oracle.total
-                assert cost.amortized_nre.modules == oracle.amortized_nre.modules
-                assert cost.amortized_nre.packages == oracle.amortized_nre.packages
-            assert point.value.average == rebuilt.chiplet.average_cost()
+                SCMSConfig(quantity=base.quantity * scale), mcm()
+            ).chiplet
+            for position, system in enumerate(rebuilt.systems):
+                oracle = rebuilt.amortized_cost(system)
+                nre = oracle.amortized_nre
+                assert float(solve.totals[index][position]) == oracle.total
+                assert float(solve.quantities[index][position]) == (
+                    oracle.quantity
+                )
+                assert float(solve.nre_modules[index][position]) == nre.modules
+                assert float(solve.nre_chips[index][position]) == nre.chips
+                assert float(solve.nre_packages[index][position]) == (
+                    nre.packages
+                )
+                assert float(solve.nre_d2d[index][position]) == nre.d2d
+            assert float(solve.averages[index]) == rebuilt.average_cost()
 
 
 class TestManySystemParity:
     def test_synthetic_portfolio(self, engine):
         _assert_solve_matches_scalar(engine, synthetic_portfolio(150))
-
-    def test_materialized_costs_identical(self, engine):
-        portfolio = synthetic_portfolio(40)
-        decomposition = engine.decompose(portfolio)
-        solve = decomposition.solve(SCALES)
-        for index, scale in enumerate(SCALES):
-            materialized = solve.costs(index)
-            scalar = decomposition.evaluate(scale)
-            assert materialized.costs == scalar.costs
-            assert materialized.average == scalar.average
-            assert materialized.volume_scale == scale
 
     def test_volume_solve_front_end(self, engine):
         portfolio = synthetic_portfolio(25)

@@ -1,12 +1,26 @@
 """Public API surface: everything in __all__ resolves and core paths
 are reachable from a single `import repro`."""
 
+import importlib
+import pkgutil
+
 import repro
 
 
+def _packages():
+    """``repro`` and every subpackage under it."""
+    yield repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.ispkg:
+            yield importlib.import_module(info.name)
+
+
 def test_all_exports_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), f"missing export: {name}"
+    """Every ``__all__`` name of every package resolves, including the
+    lazy (PEP 562) tables, which otherwise fail only on first access."""
+    for package in _packages():
+        for name in getattr(package, "__all__", ()):
+            getattr(package, name)  # a stale entry raises AttributeError
 
 
 def test_version():

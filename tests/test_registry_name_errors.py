@@ -5,6 +5,7 @@ listing the available entries, and known names actually reprice."""
 import pytest
 
 from repro.errors import ConfigError
+from repro.explore import montecarlo
 from repro.scenario import ScenarioRunner, scenario_from_dict
 
 
@@ -104,13 +105,15 @@ class TestKnownNamesReprice:
                                   wafer_geometry="prod"))
         assert base.rows != priced.rows
 
-    def test_montecarlo_fast_with_named_model_matches_naive(self):
-        """The closed-form fast path accepts registry names and stays
+    def test_montecarlo_fast_with_named_model_matches_naive(self, monkeypatch):
+        """The closed-form sampler accepts registry names and stays
         draw-for-draw identical to the naive sampler under them."""
-        fast = self._run(_study("montecarlo", yield_model="p97",
-                                wafer_geometry="prod", method="fast"))
-        naive = self._run(_study("montecarlo", yield_model="p97",
-                                 wafer_geometry="prod", method="naive"))
+        study = _study("montecarlo", yield_model="p97", wafer_geometry="prod")
+        fast = self._run(study)
+        monkeypatch.setattr(
+            montecarlo, "monte_carlo_cost", montecarlo.monte_carlo_cost_naive
+        )
+        naive = self._run(study)
         assert fast.data.samples == naive.data.samples
         assert fast.rows == naive.rows
 

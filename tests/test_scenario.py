@@ -26,6 +26,7 @@ from repro.scenario import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    study_to_dict,
 )
 
 
@@ -136,6 +137,27 @@ def test_scenario_rejects_removed_precision_tier(tier):
         scenario_from_dict(document)
     document["studies"][0]["precision"] = "exact"
     assert scenario_from_dict(document).studies[0].precision == "exact"
+
+
+def test_montecarlo_study_rejects_removed_method_selector():
+    """``method`` selected between two bit-identical samplers and was
+    removed: a study still sending it fails like any unknown key, and
+    the serialized study no longer carries it."""
+    study = {
+        "kind": "montecarlo",
+        "name": "mc",
+        "module_area": 300.0,
+        "node": "7nm",
+        "draws": 20,
+    }
+    document = {"scenario": "removed-method", "studies": [study]}
+    for method in ("auto", "fast", "naive"):
+        with pytest.raises(ConfigError, match=r"unknown keys \['method'\]"):
+            scenario_from_dict(
+                {**document, "studies": [{**study, "method": method}]}
+            )
+    parsed = scenario_from_dict(document).studies[0]
+    assert "method" not in study_to_dict(parsed)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ and error mapping — all against an in-process server."""
 
 import http.client
 import json
+import socket
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -11,7 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.corpus.hashing import registry_hash
-from repro.service.app import CostServiceServer, ServerThread
+from repro.service.app import MAX_BODY_BYTES, CostServiceServer, ServerThread
 from repro.service.batching import QueueFullError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.schemas import (
@@ -54,6 +55,40 @@ def test_full_queue_is_a_typed_503():
             ServiceClient(url).cost(CostRequest(area=100.0))
     assert excinfo.value.status == 503
     assert excinfo.value.error_type == "QueueFullError"
+
+
+def test_oversized_body_is_one_typed_413_then_close():
+    """A body over the limit is refused without reading it, so the
+    connection must close: left open, its bytes would be parsed as a
+    follow-up request (a 65 KB run of them as a spurious 414)."""
+    with ServerThread() as url:
+        host, port = urllib.parse.urlsplit(url).netloc.split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/cost HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {MAX_BODY_BYTES + 10}".encode()
+                + b"\r\n\r\n" + b"x" * 70_000
+            )
+            received = b""
+            try:
+                while chunk := sock.recv(65536):
+                    received += chunk
+            except ConnectionResetError:
+                pass  # closed with the rest of the body unread
+    head, _, rest = received.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    assert status_line.startswith("HTTP/1.1 413 ")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    assert headers["Content-Type"] == "application/json"
+    body, extra = (
+        rest[: int(headers["Content-Length"])],
+        rest[int(headers["Content-Length"]):],
+    )
+    assert extra == b""  # exactly one response
+    error = json.loads(body)["error"]
+    assert error["type"] == "BodyTooLargeError"
+    assert str(MAX_BODY_BYTES) in error["message"]
 
 
 class TestHealthAndRegistries:
