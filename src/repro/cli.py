@@ -30,6 +30,8 @@ before analysis ran (unknown path, unparseable file, bad baseline).
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import sys
 from typing import Sequence
 
@@ -261,28 +263,25 @@ def _cmd_payback(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.engine import default_engine
+    from repro.packaging.soc import soc_package
     from repro.reporting.series import FigureData, Series
 
     die_cost_fn = _die_cost_override(args, "sweep")
     engine = default_engine()
     node = get_node(args.node)
     areas = list(range(int(args.start), int(args.stop) + 1, int(args.step)))
-    columns: dict[str, list[float]] = {}
-    soc_sweep = engine.sweep(
-        "SoC", areas, lambda area: soc_reference(area, node),
-        die_cost_fn=die_cost_fn,
-    )
-    columns["SoC"] = [cost.total for cost in soc_sweep.values()]
-    for label, tech in multichip_integrations().items():
-        scheme_sweep = engine.sweep(
-            label,
-            areas,
-            lambda area, tech=tech: partition_monolith(
-                area, node, args.chiplets, tech, d2d_fraction=args.d2d
-            ),
+
+    def column(label, integration, count, soc_for_one=False) -> list[float]:
+        grid = engine.partition_grid(
+            label, areas, [count], node, integration,
+            d2d_fraction=args.d2d, soc_for_one=soc_for_one,
             die_cost_fn=die_cost_fn,
         )
-        columns[label] = [cost.total for cost in scheme_sweep.values()]
+        return [point.value.total for point in grid.points]
+
+    columns = {"SoC": column("SoC", soc_package(), 1, soc_for_one=True)}
+    for label, tech in multichip_integrations().items():
+        columns[label] = column(label, tech, args.chiplets)
     figure = FigureData(
         title=f"RE cost vs area @ {node.name}",
         x_label="area_mm2",
@@ -299,37 +298,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    from repro.explore.montecarlo import monte_carlo_cost
+def _print_study(study) -> int:
+    """Run one scenario study against the global registries and print
+    its text: the executor and table ``repro run`` gives that study."""
+    from repro.scenario import ScenarioRunner
 
-    node = get_node(args.node)
-    if args.integration == "soc":
-        system = soc_reference(args.area, node)
-    else:
-        system = partition_monolith(
-            args.area, node, args.chiplets, _integration(args.integration),
-            d2d_fraction=args.d2d,
-        )
-    distribution = monte_carlo_cost(
-        system,
-        draws=args.draws,
-        sigma=args.sigma,
-        seed=args.seed,
-        die_cost_fn=_die_cost_override(args, "montecarlo"),
-    )
-    table = Table(
-        ["statistic", "RE USD/unit"],
-        title=(
-            f"Monte-Carlo RE cost of {system.name} "
-            f"({args.draws} draws, defect-density sigma {args.sigma:.0%})"
-        ),
-    )
-    table.add_row(["mean", distribution.mean])
-    table.add_row(["std", distribution.std])
-    for q in (0.05, 0.25, 0.50, 0.75, 0.95):
-        table.add_row([f"p{int(q * 100):02d}", distribution.quantile(q)])
-    print(table.render())
+    print(ScenarioRunner().run_study(study).text)
     return 0
+
+
+def _cmd_montecarlo(args: argparse.Namespace) -> int:
+    from repro.scenario import MonteCarloStudy
+
+    return _print_study(
+        MonteCarloStudy(
+            name="montecarlo",
+            module_area=args.area,
+            node=args.node,
+            technology=args.integration,
+            n_chiplets=args.chiplets,
+            d2d_fraction=args.d2d,
+            draws=args.draws,
+            sigma=args.sigma,
+            seed=args.seed,
+            yield_model=args.yield_model,
+            wafer_geometry=args.wafer_geometry,
+        )
+    )
 
 
 def _parse_areas(spec: str) -> tuple[float, ...]:
@@ -346,12 +341,14 @@ def _parse_areas(spec: str) -> tuple[float, ...]:
                 raise ChipletActuaryError(
                     f"--areas step must be > 0, got {step:g}"
                 )
-            areas = []
-            area = start
-            while area <= stop + 1e-9:
-                areas.append(area)
-                area += step
-            return tuple(areas)
+            # start + index * step, not repeated addition, so long
+            # ranges do not drift (100:101:0.1 ends at 101.0).
+            return tuple(
+                itertools.takewhile(
+                    lambda area: area <= stop + 1e-9,
+                    (start + index * step for index in itertools.count()),
+                )
+            )
         return tuple(float(part) for part in spec.split(",") if part)
     except ValueError:
         raise ChipletActuaryError(
@@ -360,61 +357,39 @@ def _parse_areas(spec: str) -> tuple[float, ...]:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.search.engine import run_search
-    from repro.search.space import DesignSpace
+    from repro.scenario import SearchStudy
 
-    space = DesignSpace(
-        module_areas=_parse_areas(args.areas),
-        nodes=tuple(part for part in args.nodes.split(",") if part),
-        technologies=tuple(
-            part for part in args.technologies.split(",") if part
-        ),
-        chiplet_counts=tuple(
-            int(part) for part in args.chiplets.split(",") if part
-        ),
-        d2d_fractions=tuple(
-            float(part) for part in args.d2d.split(",") if part
-        ),
-        quantity=args.quantity,
-        objectives=tuple(part for part in args.objectives.split(",") if part),
-        top_k=args.top_k,
-        include_soc=not args.no_soc,
-        test_cost={} if args.test_cost else None,
+    return _print_study(
+        SearchStudy(
+            name="search",
+            module_areas=_parse_areas(args.areas),
+            nodes=tuple(part for part in args.nodes.split(",") if part),
+            technologies=tuple(
+                part for part in args.technologies.split(",") if part
+            ),
+            chiplet_counts=tuple(
+                int(part) for part in args.chiplets.split(",") if part
+            ),
+            d2d_fractions=tuple(
+                float(part) for part in args.d2d.split(",") if part
+            ),
+            quantity=args.quantity,
+            objectives=tuple(
+                part for part in args.objectives.split(",") if part
+            ),
+            top_k=args.top_k,
+            include_soc=not args.no_soc,
+            test_cost={} if args.test_cost else None,
+            yield_model=args.yield_model,
+            wafer_geometry=args.wafer_geometry,
+        )
     )
-    result = run_search(
-        space,
-        die_cost_fn=_die_cost_override(args, "search"),
-        context="search",
-    )
-    table = Table(
-        ["design", "set", "total/unit", "RE/unit", "NRE total",
-         "footprint mm^2"],
-        title=(
-            f"Design-space search: {result.n_candidates} candidates, "
-            f"objectives {'/'.join(result.objectives)}"
-        ),
-    )
-    for set_name, members in (
-        ("frontier", result.frontier), ("top", result.top)
-    ):
-        for candidate in members:
-            table.add_row(
-                [candidate.label, set_name, candidate.total, candidate.re,
-                 candidate.nre, candidate.footprint]
-            )
-    print(table.render())
-    return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.scenario import FigureStudy, ScenarioRunner, ScenarioSpec
+    from repro.scenario import FigureStudy
 
-    spec = ScenarioSpec(
-        name=f"figure-{args.id}", studies=(FigureStudy(figure=args.id),)
-    )
-    result = ScenarioRunner().run(spec)
-    print(result.results[0].text)
-    return 0
+    return _print_study(FigureStudy(figure=args.id))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -844,10 +819,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ChipletActuaryError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro figure 4 | head``).
+        # Point stdout at devnull so the interpreter's exit-time flush
+        # does not raise again, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -160,7 +160,7 @@ class CorpusRunner:
 
     def run(self) -> CorpusReport:
         """Execute every unit; never raises for unit failures."""
-        self.store.sweep()
+        self.store.remove_orphaned_temps()
         path = manifest_path(self.store.manifests_dir, self.corpus.name)
         previous = Manifest.load(path)
         interrupted = previous.was_interrupted() if previous else False

@@ -169,7 +169,7 @@ class ResultStore:
     # maintenance
     # ------------------------------------------------------------------
 
-    def sweep(self) -> list[str]:
+    def remove_orphaned_temps(self) -> list[str]:
         """Remove orphaned temp files left by killed writers."""
         removed = sweep_temp_files(self.root)
         for directory, _dirs, _files in os.walk(self.objects_dir):

@@ -7,7 +7,7 @@ Three layers, documented in PERFORMANCE.md:
   ``repro.wafer.diecache``, which lives beside the cost it memoizes so
   core never imports upward from the engine;
 * ``repro.engine.costengine`` — :class:`CostEngine` batch API
-  (``evaluate_many`` / ``sweep`` / ``partition_sweep`` /
+  (``evaluate_re`` / ``evaluate_many`` / ``partition_sweep`` /
   ``partition_grid``), which ``repro.explore``, the scenario runner
   and the CLI route through;
 * ``repro.engine.rng`` — vectorized ``random.Random.gauss`` /

@@ -1,19 +1,20 @@
 """CostEngine: batched system evaluation with shared caches.
 
-The exploration workloads (partition grids, Pareto studies, CLI sweeps,
-portfolio reports) all reduce to "price many :class:`~repro.core.system.
+The exploration workloads (partition grids, CLI sweeps, sensitivity
+tornados, portfolio reports) all reduce to "price many :class:`~repro.core.system.
 System` objects".  The engine gives that loop one home:
 
 * per-system evaluation reuses the memoized die-cost layer
   (``repro.wafer.diecache``) and caches the packaging coefficients
   per (package, areas) (``repro.engine.packaging_affine``), so a
   100-point sweep prices each distinct die and package once;
-* :meth:`CostEngine.evaluate_many` / :meth:`CostEngine.sweep` price
-  built systems, and :meth:`CostEngine.partition_sweep` /
+* :meth:`CostEngine.evaluate_re` / :meth:`CostEngine.evaluate_many`
+  price built systems, and :meth:`CostEngine.partition_sweep` /
   :meth:`CostEngine.partition_grid` price equal partitions in closed
   form; these are the batch front-ends that ``repro.explore``, the
-  scenario runner and the CLI route through.  Monte-Carlo sampling
-  lives in ``repro.engine.fastmc``.
+  scenario runner and the CLI route through.  Design-space studies
+  run on ``repro.search`` and Monte-Carlo sampling lives in
+  ``repro.engine.fastmc``.
 
 Results are bit-compatible with the naive
 :func:`repro.core.re_cost.compute_re_cost` path — the engine replicates
@@ -27,10 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
-from repro.core.breakdown import RECost, TotalCost
+from repro.core.breakdown import RECost
 from repro.core.re_cost import compute_re_cost
 from repro.core.system import System
-from repro.core.total import compute_total_cost
 from repro.wafer.diecache import cached_die_cost
 from repro.engine.packaging_affine import linearize_packaging
 from repro.errors import InvalidParameterError
@@ -38,7 +38,6 @@ from repro.explore.sweep import Sweep, SweepPoint
 from repro.packaging.base import PackagingAffine
 from repro.wafer.die import DieSpec
 
-X = TypeVar("X")
 Y = TypeVar("Y")
 R = TypeVar("R")
 C = TypeVar("C")
@@ -159,22 +158,6 @@ class CostEngine:
             packaging_cost_fn=self._packaging_affine(system).packaging_cost,
         )
 
-    def evaluate_total(
-        self,
-        system: System,
-        quantity: float | None = None,
-        die_cost_fn: Callable | None = None,
-    ) -> TotalCost:
-        """Per-unit total (RE + amortized NRE), delegating to
-        :func:`repro.core.total.compute_total_cost` with the engine's
-        cached RE evaluation (optionally under a die-cost override, see
-        :meth:`evaluate_re`)."""
-        return compute_total_cost(
-            system,
-            quantity=quantity,
-            re_cost=self.evaluate_re(system, die_cost_fn=die_cost_fn),
-        )
-
     # ------------------------------------------------------------------
     # batch evaluation
     # ------------------------------------------------------------------
@@ -190,25 +173,6 @@ class CostEngine:
             self.evaluate_re(system, die_cost_fn=die_cost_fn)
             for system in systems
         ]
-
-    def sweep(
-        self,
-        name: str,
-        values: Sequence[X],
-        builder: Callable[[X], System],
-        die_cost_fn: Callable | None = None,
-    ) -> Sweep:
-        """RE cost of ``builder(value)`` for every value, as a
-        :class:`~repro.explore.sweep.Sweep`."""
-        if not values:
-            raise InvalidParameterError("sweep needs at least one value")
-        systems = [builder(value) for value in values]
-        results = self.evaluate_many(systems, die_cost_fn=die_cost_fn)
-        points = tuple(
-            SweepPoint(x=value, value=result)
-            for value, result in zip(values, results)
-        )
-        return Sweep(name=name, points=points)
 
     # ------------------------------------------------------------------
     # closed-form partition studies

@@ -1,10 +1,6 @@
 """Architecture exploration and decision procedures (Section 6)."""
 
-from repro.explore.partition import (
-    partition_cost_sweep,
-    partition_monolith,
-    soc_reference,
-)
+from repro.explore.partition import partition_monolith, soc_reference
 from repro.explore.sweep import Sweep, SweepPoint
 from repro.explore.decide import (
     IntegrationChoice,
@@ -21,12 +17,7 @@ from repro.explore.montecarlo import (
     monte_carlo_cost,
     monte_carlo_cost_naive,
 )
-from repro.explore.pareto import (
-    DesignPoint,
-    cost_footprint_frontier,
-    design_space,
-    pareto_frontier,
-)
+from repro.explore.pareto import pareto_frontier
 from repro.explore.uneven import (
     PartitionAssignment,
     balance_modules,
@@ -54,14 +45,10 @@ __all__ = [
     "max_affordable_area",
     "max_d2d_fraction",
     "required_defect_density",
-    "DesignPoint",
-    "cost_footprint_frontier",
-    "design_space",
     "pareto_frontier",
     "PartitionAssignment",
     "balance_modules",
     "partition_modules",
-    "partition_cost_sweep",
     "partition_monolith",
     "soc_reference",
     "Sweep",

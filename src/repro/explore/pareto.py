@@ -1,23 +1,18 @@
-"""Pareto-frontier exploration over the partition x integration space.
+"""Pareto-frontier filtering: the naive reference for the search.
 
 Cost is not the only objective: package footprint (board area), total
-silicon, and NRE exposure matter too.  This module sweeps the design
-space the paper's Figure 4/6 spans and extracts the non-dominated set.
+silicon, and NRE exposure matter too.  :func:`pareto_frontier` keeps
+the non-dominated items of any list under any objective vector; the
+search oracle (``repro.search.oracle``) filters its per-candidate
+results through it.  Design-space studies themselves, the scenario
+``pareto`` study included, run on ``repro.search.engine.run_search``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from repro.core.system import System
 from repro.errors import InvalidParameterError
-from repro.explore.partition import partition_monolith, soc_reference
-from repro.packaging.base import IntegrationTech
-from repro.process.node import ProcessNode
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.costengine import CostEngine
 
 T = TypeVar("T")
 
@@ -46,101 +41,3 @@ def pareto_frontier(
     ]
     mask = non_dominated_mask(scores)
     return [item for item, kept in zip(items, mask) if kept]
-
-
-@dataclass(frozen=True)
-class DesignPoint:
-    """One evaluated alternative in the partition x integration space."""
-
-    system: System
-    scheme: str
-    n_chiplets: int
-    total_per_unit: float
-    re_per_unit: float
-    nre_total: float
-    package_footprint: float
-    silicon_area: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.scheme} x{self.n_chiplets}"
-
-
-def design_space(
-    module_area: float,
-    node: ProcessNode,
-    quantity: float,
-    integrations: Sequence[IntegrationTech],
-    chiplet_counts: Sequence[int] = (2, 3, 4, 5),
-    d2d_fraction: float = 0.10,
-    engine: "CostEngine | None" = None,
-    die_cost_fn: Callable | None = None,
-) -> list[DesignPoint]:
-    """Evaluate the SoC plus every (integration, count) alternative.
-
-    Evaluation runs on the batch engine (shared die-cost and packaging
-    caches across the whole space); pass ``engine`` to reuse a warmed
-    instance across repeated studies, and ``die_cost_fn`` to price
-    every point under a custom die-cost override (registry-named yield
-    models / wafer geometries).
-    """
-    from repro.engine.costengine import default_engine
-
-    if quantity <= 0:
-        raise InvalidParameterError("quantity must be > 0")
-    eng = engine if engine is not None else default_engine()
-    points = []
-
-    soc_system = soc_reference(module_area, node, quantity=quantity)
-    points.append(_evaluate(soc_system, "SoC", 1, eng, die_cost_fn))
-
-    for integration in integrations:
-        for count in chiplet_counts:
-            system = partition_monolith(
-                module_area,
-                node,
-                count,
-                integration,
-                d2d_fraction=d2d_fraction,
-                quantity=quantity,
-            )
-            points.append(
-                _evaluate(system, integration.label, count, eng, die_cost_fn)
-            )
-    return points
-
-
-def _evaluate(
-    system: System,
-    scheme: str,
-    count: int,
-    engine: "CostEngine",
-    die_cost_fn: Callable | None = None,
-) -> DesignPoint:
-    total = engine.evaluate_total(system, die_cost_fn=die_cost_fn)
-    re = total.re
-    if system.package is not None:
-        footprint = system.package.footprint
-    else:
-        footprint = system.integration.package_area(system.chip_areas)
-    return DesignPoint(
-        system=system,
-        scheme=scheme,
-        n_chiplets=count,
-        total_per_unit=total.total,
-        re_per_unit=re.total,
-        nre_total=total.amortized_nre.total * total.quantity,
-        package_footprint=footprint,
-        silicon_area=system.silicon_area,
-    )
-
-
-def cost_footprint_frontier(points: Sequence[DesignPoint]) -> list[DesignPoint]:
-    """Pareto set over (per-unit total cost, package footprint)."""
-    return pareto_frontier(
-        points,
-        [
-            lambda point: point.total_per_unit,
-            lambda point: point.package_footprint,
-        ],
-    )

@@ -3,13 +3,12 @@
 ``partition_monolith`` splits a module area into ``n`` equal chiplets,
 each carrying its own D2D interface; no reuse is assumed (every chiplet
 is a distinct design), matching the paper's Figure 4 setting.
-``partition_cost_sweep`` prices a whole range of granularities through
-the batched :class:`~repro.engine.costengine.CostEngine`.
+Ranges of granularities are priced in closed form, without building
+these systems, by ``CostEngine.partition_sweep``/``partition_grid``;
+the built systems here are their bit-parity oracle.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Sequence
 
 from repro.core.chip import Chip
 from repro.core.module import Module
@@ -19,10 +18,6 @@ from repro.errors import InvalidParameterError
 from repro.packaging.base import IntegrationTech
 from repro.packaging.soc import soc_package
 from repro.process.node import ProcessNode
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.costengine import CostEngine
-    from repro.explore.sweep import Sweep
 
 
 def soc_label(module_area: float, node: ProcessNode) -> str:
@@ -101,34 +96,4 @@ def partition_monolith(
     )
     return System(
         name=label, chips=chips, integration=integration, quantity=quantity
-    )
-
-
-def partition_cost_sweep(
-    module_area: float,
-    node: ProcessNode,
-    chiplet_counts: Sequence[int],
-    integration: IntegrationTech,
-    d2d_fraction: float = 0.10,
-    engine: "CostEngine | None" = None,
-) -> "Sweep":
-    """RE cost across partition granularities, via the batch engine.
-
-    Returns a :class:`~repro.explore.sweep.Sweep` whose x-axis is the
-    chiplet count (1 = the monolithic SoC reference) and whose values
-    are :class:`~repro.core.breakdown.RECost` itemizations.  Evaluation
-    uses the engine's closed-form partition path — no per-point
-    ``System`` construction — which is bit-identical to building and
-    pricing each point (``tests/test_engine.py``).
-    """
-    from repro.engine.costengine import default_engine
-
-    eng = engine if engine is not None else default_engine()
-    return eng.partition_sweep(
-        f"partition-{integration.name}-{module_area:.0f}mm2-{node.name}",
-        module_area,
-        node,
-        list(chiplet_counts),
-        integration,
-        d2d_fraction=d2d_fraction,
     )

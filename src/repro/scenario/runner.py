@@ -508,25 +508,34 @@ def _run_montecarlo(
 def _run_pareto(
     runner: ScenarioRunner, study: ParetoStudy, registries: ConfigRegistries
 ) -> tuple[Any, str]:
-    from repro.explore.pareto import cost_footprint_frontier, design_space
+    """The SoC plus every (technology, count) split of one design point,
+    priced as a one-area, one-node search whose top-k is every
+    candidate, so the rows come out in (total, index) order."""
+    from repro.search.engine import run_search
+    from repro.search.space import DesignSpace
 
     node = runner._node(registries, study.node, study.name)
-    integrations = [
-        runner._technology(registries, name, study.name)
+    labels = {
+        name: runner._technology(registries, name, study.name).label
         for name in study.technologies
-    ]
-    points = design_space(
-        study.module_area,
-        node,
-        study.quantity,
-        integrations,
-        chiplet_counts=study.chiplet_counts,
-        d2d_fraction=study.d2d_fraction,
-        engine=runner.engine,
-        die_cost_fn=runner._die_cost_override(registries, study),
+    }
+    space = DesignSpace(
+        module_areas=(study.module_area,),
+        nodes=(study.node,),
+        technologies=tuple(study.technologies),
+        chiplet_counts=tuple(study.chiplet_counts),
+        d2d_fractions=(study.d2d_fraction,),
+        quantity=study.quantity,
+        objectives=("total", "footprint"),
+        top_k=1 + len(study.technologies) * len(study.chiplet_counts),
     )
-    frontier = cost_footprint_frontier(points)
-    on_frontier = {id(point) for point in frontier}
+    result = run_search(
+        space,
+        registries=registries,
+        die_cost_fn=runner._die_cost_override(registries, study),
+        context=study.name,
+    )
+    on_frontier = set(result.frontier_indices())
     table = Table(
         ["design", "total/unit", "RE/unit", "footprint mm^2", "frontier"],
         title=(
@@ -534,13 +543,14 @@ def _run_pareto(
             f"{study.quantity:.0f} units"
         ),
     )
-    for point in sorted(points, key=lambda p: p.total_per_unit):
+    for candidate in result.top:
+        scheme = "SoC" if candidate.scheme == "soc" else labels[candidate.technology]
         table.add_row(
-            [point.label, point.total_per_unit, point.re_per_unit,
-             point.package_footprint,
-             "*" if id(point) in on_frontier else ""]
+            [f"{scheme} x{candidate.chiplets}", candidate.total, candidate.re,
+             candidate.footprint,
+             "*" if candidate.index in on_frontier else ""]
         )
-    return {"points": points, "frontier": frontier}, table.render(), table.records()
+    return result, table.render(), table.records()
 
 
 @_executor("search")

@@ -224,7 +224,6 @@ class SearchStudy:
     top_k: int = 10
     include_soc: bool = True
     test_cost: Mapping[str, Any] | None = None
-    batch_size: int = 4096
     yield_model: str = ""
     wafer_geometry: str = ""
 
@@ -247,7 +246,6 @@ class SearchStudy:
                 top_k=self.top_k,
                 include_soc=self.include_soc,
                 test_cost=self.test_cost,
-                batch_size=self.batch_size,
             )
         except ConfigError as error:
             raise ConfigError(

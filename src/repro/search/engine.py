@@ -59,7 +59,8 @@ class SearchCandidate:
 
     @property
     def label(self) -> str:
-        """``"SoC"``-style design label matching the pareto study."""
+        """Scheme (``soc`` or the technology's registry name), chiplet
+        count, module area and node, e.g. ``"mcm x2 600mm2 @7nm"``."""
         if self.scheme == "soc":
             return f"soc x1 {self.module_area:.0f}mm2 @{self.node}"
         return (

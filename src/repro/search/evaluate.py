@@ -57,6 +57,10 @@ try:  # evaluation vectorizes with numpy; falls back to pure Python
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
+#: Candidates per evaluation block along the module-area axis; bounds
+#: peak memory, and results are independent of it.
+BATCH_SIZE = 4096
+
 #: (node, area) -> DieCost pricing override (registry-resolved).
 DieCostFn = Callable[[ProcessNode, float], DieCost]
 
@@ -89,7 +93,7 @@ class SpaceEvaluator:
     :class:`~repro.errors.ConfigError` listing the available entries,
     prefixed with ``context``) and validates every (technology, count)
     pairing up front, then yields :class:`EvalBlock` slices of at most
-    ``space.batch_size`` candidates.
+    :data:`BATCH_SIZE` candidates.
     """
 
     def __init__(
@@ -130,11 +134,11 @@ class SpaceEvaluator:
 
     def blocks(self) -> Iterator[EvalBlock]:
         """Every candidate of the space, evaluated in canonical-order
-        groups chunked by ``batch_size`` along the module-area axis."""
+        groups chunked by :data:`BATCH_SIZE` along the module-area axis."""
         space = self.space
         areas = [float(area) for area in space.module_areas]
-        for start in range(0, len(areas), space.batch_size):
-            chunk = areas[start:start + space.batch_size]
+        for start in range(0, len(areas), BATCH_SIZE):
+            chunk = areas[start:start + BATCH_SIZE]
             if space.include_soc:
                 packs = {"": _PackColumns(self._soc_tech, 1, chunk)}
                 for node_name in space.nodes:

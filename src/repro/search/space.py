@@ -107,8 +107,6 @@ class DesignSpace:
             (:class:`~repro.packaging.testcost.TestCostModel` fields);
             an empty mapping selects the model's defaults.  ``None``
             disables test metrics.
-        batch_size: Candidates per evaluation block (bounds peak
-            memory; results are independent of it).
     """
 
     module_areas: tuple[float, ...]
@@ -121,7 +119,6 @@ class DesignSpace:
     top_k: int = 10
     include_soc: bool = True
     test_cost: Mapping[str, Any] | None = field(default=None)
-    batch_size: int = 4096
 
     def __post_init__(self) -> None:
         if not self.module_areas:
@@ -187,10 +184,6 @@ class DesignSpace:
         if self.top_k < 0:
             raise ConfigError(
                 f"design space: top_k must be >= 0, got {self.top_k}"
-            )
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"design space: batch_size must be >= 1, got {self.batch_size}"
             )
         self.test_model()  # validate tester parameters eagerly
 

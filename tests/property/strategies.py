@@ -44,6 +44,10 @@ technology_names = st.sampled_from(sorted(TECHNOLOGIES))
 #: (area/n plus D2D overhead) fits each technology's reach.
 module_areas = st.floats(min_value=50.0, max_value=800.0)
 
+#: Search block sizes (``repro.search.evaluate.BATCH_SIZE``): one that
+#: splits every multi-area space, one that rarely does, the default.
+batch_sizes = st.sampled_from((2, 7, 4096))
+
 
 @st.composite
 def process_nodes(draw, name: str = "gen-node") -> ProcessNode:
@@ -170,7 +174,6 @@ def design_spaces(draw, test_cost: bool = False) -> DesignSpace:
         top_k=draw(st.integers(min_value=0, max_value=3)),
         include_soc=draw(st.booleans()),
         test_cost={} if test_cost else None,
-        batch_size=draw(st.sampled_from((2, 7, 4096))),
     )
 
 
@@ -208,7 +211,6 @@ def search_studies(draw) -> SearchStudy:
         quantity=space.quantity,
         top_k=space.top_k,
         include_soc=space.include_soc,
-        batch_size=space.batch_size,
     )
 
 

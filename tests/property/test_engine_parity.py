@@ -9,6 +9,7 @@ numpy-free scalar fallbacks equal to the numpy paths.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,11 +25,13 @@ from repro.engine.rng import sample_prior
 from repro.explore.montecarlo import monte_carlo_cost_naive
 from repro.explore.partition import partition_monolith, soc_reference
 from repro.process.catalog import get_node
+from repro.search import evaluate
 from repro.search.engine import run_search
 from repro.search.oracle import run_search_oracle
 from repro.yieldmodel.sampling import DefectDensityPrior
 from strategies import (
     TECHNOLOGIES,
+    batch_sizes,
     catalog_node_names,
     design_spaces,
     module_areas,
@@ -171,9 +174,10 @@ def test_fastportfolio_scalar_fallback_matches_numpy(portfolio, scales):
         )
 
 
-@given(space=design_spaces())
-def test_space_evaluator_matches_search_oracle(space):
-    fast = run_search(space)
+@given(space=design_spaces(), batch_size=batch_sizes)
+def test_space_evaluator_matches_search_oracle(space, batch_size):
+    with mock.patch.object(evaluate, "BATCH_SIZE", batch_size):
+        fast = run_search(space)
     oracle = run_search_oracle(space)
     assert_bit_equal(
         "run_search", "n_candidates", fast.n_candidates, oracle.n_candidates

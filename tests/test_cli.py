@@ -1,8 +1,13 @@
 """CLI commands end to end (in-process, via main())."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _parse_areas, main
 from repro.config import save_portfolio
 from repro.packaging.mcm import mcm
 from repro.reuse.scms import SCMSConfig, build_scms
@@ -241,3 +246,80 @@ def test_search_unknown_objective_is_clean_error(capsys):
     assert code == 2
     assert "error:" in err
     assert "unknown objective" in err
+
+
+def test_area_range_does_not_drift():
+    """Each area is ``start + index * step``: repeated addition would
+    give 100.19999999999999 ... 100.99999999999994."""
+    assert _parse_areas("100:101:0.1") == tuple(100 + i * 0.1 for i in range(11))
+    assert _parse_areas("100:900:100") == tuple(
+        float(area) for area in range(100, 901, 100)
+    )
+    assert _parse_areas("300:200:50") == ()
+
+
+def _run_text(capsys, tmp_path, study):
+    """The text ``repro run`` prints for a one-study scenario document."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"scenario": "one", "studies": [study]}))
+    code, out, _err = run_cli(capsys, "run", str(path))
+    assert code == 0
+    header = f"Scenario: one\n\n=== {study['name']} ===\n"
+    assert out.startswith(header)
+    return out[len(header):]
+
+
+def test_search_matches_its_scenario_study(capsys, tmp_path):
+    code, out, _err = run_cli(
+        capsys, "search", "--areas", "200:400:100", "--nodes", "7nm,14nm",
+        "--technologies", "mcm,2.5d", "--chiplets", "2,3", "--top-k", "4",
+        "--yield-model", "murphy",
+    )
+    assert code == 0
+    assert out == _run_text(capsys, tmp_path, {
+        "kind": "search", "name": "search",
+        "module_areas": [200.0, 300.0, 400.0], "nodes": ["7nm", "14nm"],
+        "technologies": ["mcm", "2.5d"], "chiplet_counts": [2, 3],
+        "top_k": 4, "yield_model": "murphy",
+    })
+
+
+def test_montecarlo_matches_its_scenario_study(capsys, tmp_path):
+    code, out, _err = run_cli(
+        capsys, "montecarlo", "--area", "600", "--node", "5nm",
+        "--integration", "mcm", "--chiplets", "3", "--draws", "40",
+        "--seed", "5", "--wafer-geometry", "300mm",
+    )
+    assert code == 0
+    assert out.startswith("Monte Carlo: mcm-3x200mm2-5nm (40 draws, sigma 15%)")
+    assert out == _run_text(capsys, tmp_path, {
+        "kind": "montecarlo", "name": "montecarlo", "module_area": 600.0,
+        "node": "5nm", "technology": "mcm", "n_chiplets": 3, "draws": 40,
+        "seed": 5, "wafer_geometry": "300mm",
+    })
+
+
+def test_closed_stdout_exits_without_traceback():
+    """A reader that has already gone away (``repro figure 4 | head``)
+    gets a non-zero exit and no BrokenPipeError traceback."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        os.path.join(repo, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "figure", "4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "BrokenPipeError" not in result.stderr

@@ -22,7 +22,6 @@ from repro.core.module import Module
 from repro.core.package_design import PackageDesign
 from repro.core.re_cost import compute_re_cost
 from repro.core.system import System, multichip
-from repro.core.total import compute_total_cost
 from repro.d2d.overhead import FractionOverhead
 from repro.engine import (
     CostEngine,
@@ -42,11 +41,7 @@ from repro.explore.montecarlo import (
     monte_carlo_cost,
     monte_carlo_cost_naive,
 )
-from repro.explore.partition import (
-    partition_cost_sweep,
-    partition_monolith,
-    soc_reference,
-)
+from repro.explore.partition import partition_monolith, soc_reference
 from repro.explore.sensitivity import system_tornado
 from repro.packaging.info import info
 from repro.packaging.interposer import interposer_25d
@@ -139,14 +134,6 @@ class TestEngineParity:
         # second through the cached affine decomposition.
         _assert_re_equal(engine.evaluate_re(system), naive)
         _assert_re_equal(engine.evaluate_re(system), naive)
-
-    def test_evaluate_total_matches_naive(self):
-        engine = CostEngine()
-        for system in _systems():
-            a = engine.evaluate_total(system)
-            b = compute_total_cost(system)
-            assert a.total == b.total
-            assert a.amortized_nre == b.amortized_nre
 
     def test_evaluate_many_serial_and_threaded(self):
         """Batch evaluation is per-item ``evaluate_re`` in order (there is
@@ -263,13 +250,14 @@ class TestFastPartitionSweep:
     def test_partition_sweep_rejects_nonpositive_counts(self, n5):
         """Counts < 1 must raise like partition_monolith, not silently
         price the SoC reference."""
+        engine = CostEngine()
         with pytest.raises(InvalidParameterError):
-            partition_cost_sweep(500.0, n5, [0, 1, 2], mcm())
+            engine.partition_sweep("s", 500.0, n5, [0, 1, 2], mcm())
         with pytest.raises(InvalidParameterError):
-            partition_cost_sweep(500.0, n5, [-2], mcm())
+            engine.partition_sweep("s", 500.0, n5, [-2], mcm())
 
-    def test_partition_cost_sweep_counts_and_soc_anchor(self, n5):
-        sweep = partition_cost_sweep(800.0, n5, [1, 2, 3, 4], mcm())
+    def test_partition_sweep_counts_and_soc_anchor(self, n5):
+        sweep = CostEngine().partition_sweep("s", 800.0, n5, [1, 2, 3, 4], mcm())
         assert sweep.xs() == [1, 2, 3, 4]
         soc_total = compute_re_cost(soc_reference(800.0, n5)).total
         assert sweep.points[0].value.total == soc_total
@@ -326,21 +314,24 @@ class TestCostDistribution:
 
 class TestBatchFrontends:
     def test_engine_sweep_matches_manual_loop(self, n5):
+        """The ``repro sweep`` columns: an SoC column (count 1 with
+        ``soc_for_one``) and a partition column per technology, each
+        equal to building and pricing every area's system."""
         values = [200.0, 400.0, 600.0]
-        sweep = CostEngine().sweep(
-            "re-vs-area", values, lambda area: soc_reference(area, n5)
-        )
-        assert sweep.xs() == values
-        assert [cost.total for cost in sweep.values()] == [
-            compute_re_cost(soc_reference(area, n5)).total for area in values
-        ]
-
-    def test_engine_sweep_default_evaluator_is_re_cost(self, n5):
         engine = CostEngine()
-        sweep = engine.sweep("re", [256.0], lambda area: soc_reference(area, n5))
-        assert sweep.points[0].value.total == compute_re_cost(
-            soc_reference(256.0, n5)
-        ).total
+        soc = engine.partition_grid(
+            "SoC", values, [1], n5, mcm(), soc_for_one=True
+        )
+        split = engine.partition_grid("MCM", values, [3], n5, mcm())
+        assert soc.rows == split.rows == tuple(values)
+        for area in values:
+            _assert_re_equal(
+                soc.value(area, 1), compute_re_cost(soc_reference(area, n5))
+            )
+            _assert_re_equal(
+                split.value(area, 3),
+                compute_re_cost(partition_monolith(area, n5, 3, mcm())),
+            )
 
     def test_system_tornado_matches_callback_tornado(self, n5):
         def build(parameter: str, scale: float) -> System:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import ConfigRegistries, build_registries
 from repro.core.re_cost import compute_re_cost
-from repro.core.total import compute_total_cost
 from repro.engine import CostEngine
 from repro.engine.fastportfolio import PortfolioEngine
 from repro.errors import ConfigError
@@ -39,14 +38,6 @@ class TestEngineEquivalence:
         assert priced == compute_re_cost(system, die_cost_fn=fn)
         assert priced != CostEngine().evaluate_re(system)
 
-    def test_evaluate_total(self, system):
-        fn = _die_cost_fn()
-        priced = CostEngine().evaluate_total(system, die_cost_fn=fn)
-        oracle = compute_total_cost(
-            system, re_cost=compute_re_cost(system, die_cost_fn=fn)
-        )
-        assert priced == oracle
-
     def test_monte_carlo(self, system):
         fn = _die_cost_fn()
         priced = monte_carlo_cost(system, draws=50, seed=3, die_cost_fn=fn)
@@ -64,14 +55,24 @@ class TestEngineEquivalence:
         engine = CostEngine()
         fn = _die_cost_fn()
 
-        def builder(area):
-            return soc_reference(area, node)
-
-        sweep = engine.sweep("s", [200.0, 300.0], builder, die_cost_fn=fn)
+        sweep = engine.partition_sweep(
+            "s", 300.0, node, [1, 2], mcm(), die_cost_fn=fn
+        )
         assert sweep.values() == [
-            compute_re_cost(builder(area), die_cost_fn=fn)
-            for area in (200.0, 300.0)
+            compute_re_cost(soc_reference(300.0, node), die_cost_fn=fn),
+            compute_re_cost(
+                partition_monolith(300.0, node, 2, mcm()), die_cost_fn=fn
+            ),
         ]
+
+        soc = engine.partition_grid(
+            "soc", [200.0, 300.0], [1], node, mcm(), soc_for_one=True,
+            die_cost_fn=fn,
+        )
+        for area in (200.0, 300.0):
+            assert soc.value(area, 1) == compute_re_cost(
+                soc_reference(area, node), die_cost_fn=fn
+            )
 
         grid = engine.partition_grid(
             "g", [300.0], [2, 3], node, mcm(), die_cost_fn=fn

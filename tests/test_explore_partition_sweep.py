@@ -6,7 +6,6 @@ from repro.core.re_cost import compute_re_cost
 from repro.errors import InvalidParameterError
 from repro.explore.partition import partition_monolith, soc_reference
 from repro.engine.costengine import CostEngine
-from repro.explore.sweep import Sweep, SweepPoint
 from repro.packaging.mcm import mcm
 from repro.process.catalog import get_node
 
@@ -59,19 +58,9 @@ class TestPartition:
 
 
 class TestSweep:
-    def test_map_values(self):
-        sweep = Sweep(
-            "s", (SweepPoint(1, {"a": 2.0}), SweepPoint(2, {"a": 4.0}))
-        )
-        mapped = sweep.map_values(lambda value: value["a"])
-        assert mapped.values() == [2.0, 4.0]
-
-    def test_argmin(self):
-        sweep = Sweep("s", (SweepPoint(1, 5.0), SweepPoint(2, 3.0)))
-        assert sweep.argmin(lambda v: v).x == 2
-
     def test_empty_sweep_rejected(self, n5):
+        engine = CostEngine()
         with pytest.raises(InvalidParameterError):
-            CostEngine().sweep("x", [], lambda v: None)
+            engine.partition_sweep("x", 400.0, n5, [], mcm())
         with pytest.raises(InvalidParameterError):
-            Sweep("s", ()).argmin(lambda v: v)
+            engine.partition_grid("x", [400.0], [], n5, mcm())

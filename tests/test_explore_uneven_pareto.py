@@ -5,16 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.module import Module
-from repro.errors import InvalidParameterError
-from repro.explore.pareto import (
-    cost_footprint_frontier,
-    design_space,
-    pareto_frontier,
-)
+from repro.errors import ConfigError, InvalidParameterError
+from repro.explore.pareto import pareto_frontier
 from repro.explore.uneven import balance_modules, partition_modules
-from repro.packaging.interposer import interposer_25d
 from repro.packaging.mcm import mcm
 from repro.process.catalog import get_node
+from repro.scenario import ParetoStudy, ScenarioRunner
+from repro.search.oracle import oracle_candidate, run_search_oracle
+from repro.search.space import DesignSpace
 
 
 class TestBalanceModules:
@@ -108,32 +106,84 @@ class TestParetoFrontier:
             pareto_frontier([1], [])
 
 
+_LABELS = {"soc": "SoC", "mcm": "MCM", "2.5d": "2.5D"}
+
+
+def _pareto(technologies=("mcm", "2.5d"), counts=(2, 3), quantity=5e6):
+    """Run a ``pareto`` study at 800 mm^2 on 5nm; returns its sink rows
+    and the equivalent one-area, one-node space for the search oracle."""
+    study = ParetoStudy(
+        name="frontier",
+        module_area=800.0,
+        node="5nm",
+        quantity=quantity,
+        technologies=technologies,
+        chiplet_counts=counts,
+    )
+    space = DesignSpace(
+        module_areas=(800.0,),
+        nodes=("5nm",),
+        technologies=technologies,
+        chiplet_counts=counts,
+        quantity=quantity,
+        objectives=("total", "footprint"),
+    )
+    return ScenarioRunner().run_study(study).rows, space
+
+
+def _oracle_by_label(space):
+    """Every oracle-priced candidate of ``space``, keyed by the study's
+    design label."""
+    candidates = (
+        oracle_candidate(space, index) for index in range(space.n_candidates)
+    )
+    return {
+        f"{_LABELS[candidate.scheme]} x{candidate.chiplets}": candidate
+        for candidate in candidates
+    }
+
+
 class TestDesignSpace:
-    def test_contains_soc_and_all_combinations(self, n5):
-        points = design_space(
-            800.0, n5, 5e6, [mcm(), interposer_25d()], chiplet_counts=(2, 3)
+    """The ``pareto`` study: the SoC plus every (technology, count)
+    split, priced on the search evaluator."""
+
+    def test_contains_soc_and_all_combinations(self):
+        rows, _space = _pareto()
+        assert sorted(row["design"] for row in rows) == sorted(
+            ["SoC x1", "MCM x2", "MCM x3", "2.5D x2", "2.5D x3"]
         )
-        labels = {point.label for point in points}
-        assert "SoC x1" in labels
-        assert "MCM x2" in labels
-        assert "2.5D x3" in labels
-        assert len(points) == 5
 
-    def test_frontier_is_subset(self, n5):
-        points = design_space(800.0, n5, 5e6, [mcm()], chiplet_counts=(2, 3))
-        frontier = cost_footprint_frontier(points)
-        assert set(id(p) for p in frontier) <= set(id(p) for p in points)
-        assert frontier
+    def test_rows_match_oracle_in_total_order(self):
+        rows, space = _pareto()
+        oracle = _oracle_by_label(space)
+        for row in rows:
+            expected = oracle[row["design"]]
+            assert row["total/unit"] == expected.total
+            assert row["RE/unit"] == expected.re
+            assert row["footprint mm^2"] == expected.footprint
+        totals = [row["total/unit"] for row in rows]
+        assert totals == sorted(totals)
 
-    def test_soc_on_footprint_frontier(self, n5):
+    def test_frontier_is_subset(self):
+        rows, space = _pareto(technologies=("mcm",))
+        oracle = _oracle_by_label(space)
+        starred = {
+            oracle[row["design"]].index for row in rows if row["frontier"] == "*"
+        }
+        assert starred
+        assert starred == set(run_search_oracle(space).frontier_indices())
+
+    def test_soc_on_footprint_frontier(self):
         """The single-die package always has the smallest footprint."""
-        points = design_space(800.0, n5, 5e6, [mcm()], chiplet_counts=(2,))
-        frontier = cost_footprint_frontier(points)
-        assert any(point.scheme == "SoC" for point in frontier)
+        rows, _space = _pareto(technologies=("mcm",), counts=(2,))
+        soc_rows = [row for row in rows if row["design"] == "SoC x1"]
+        assert len(soc_rows) == 1
+        assert soc_rows[0]["frontier"] == "*"
 
-    def test_invalid_quantity(self, n5):
-        with pytest.raises(InvalidParameterError):
-            design_space(800.0, n5, 0.0, [mcm()])
+    def test_invalid_quantity(self):
+        for quantity in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="quantity must be > 0"):
+                _pareto(quantity=quantity)
 
 
 class TestMirroredChiplets:

@@ -49,13 +49,14 @@ def test_one_import_quickstart():
 def test_subpackage_extensions_importable():
     from repro.packaging import stacked_3d
     from repro.wafer import HarvestSpec, harvested_die_cost
-    from repro.explore import balance_modules, design_space, pareto_frontier
+    from repro.explore import balance_modules, pareto_frontier
+    from repro.search import run_search
 
     assert stacked_3d().name == "3d"
     assert HarvestSpec(0.5, 0.5).salvage_fraction == 0.5
     assert callable(harvested_die_cost)
     assert callable(balance_modules)
-    assert callable(design_space)
+    assert callable(run_search)
     assert callable(pareto_frontier)
 
 

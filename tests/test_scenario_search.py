@@ -170,3 +170,13 @@ def test_search_study_has_no_precision_tier():
     search["precision"] = "fast"
     with pytest.raises(ConfigError, match=r"search.*unknown keys \['precision'\]"):
         scenario_from_dict(document)
+
+
+def test_search_study_has_no_batch_size():
+    """Block size is a constant of the evaluator: a search study that
+    still sends ``batch_size`` fails as an unknown key."""
+    document = _example("scenario_search.json")
+    search = next(s for s in document["studies"] if s["kind"] == "search")
+    search["batch_size"] = 4096
+    with pytest.raises(ConfigError, match=r"search.*unknown keys \['batch_size'\]"):
+        scenario_from_dict(document)

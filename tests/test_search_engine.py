@@ -54,7 +54,6 @@ class TestDesignSpaceValidation:
         (dict(objectives=("total", "total")), "duplicate"),
         (dict(objectives=("total", "test_cost")), "test_cost"),
         (dict(top_k=-1), "top_k"),
-        (dict(batch_size=0), "batch_size"),
     ])
     def test_rejected(self, overrides, fragment):
         with pytest.raises(ConfigError, match="design space"):
@@ -142,6 +141,15 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="mapping"):
             space_from_dict([1, 2, 3])
 
+    def test_batch_size_is_not_a_space_key(self):
+        """Block size is the evaluator's ``BATCH_SIZE`` constant, not a
+        space setting: a payload that still sends it is rejected."""
+        payload = space_to_dict(_space())
+        assert "batch_size" not in payload
+        payload["batch_size"] = 4096
+        with pytest.raises(ConfigError, match=r"unknown keys \['batch_size'\]"):
+            space_from_dict(payload)
+
 
 def _assert_same_result(fast, slow):
     assert fast.n_candidates == slow.n_candidates
@@ -183,13 +191,12 @@ class TestParityWithOracle:
         space = _space(include_soc=False)
         _assert_same_result(run_search(space), run_search_oracle(space))
 
-    def test_batch_size_does_not_change_results(self):
-        space = _space()
+    def test_batch_size_does_not_change_results(self, monkeypatch):
+        space = _space(module_areas=tuple(100.0 + 50.0 * i for i in range(9)))
         reference = run_search(space)
         for batch_size in (1, 3, 7):
-            _assert_same_result(
-                run_search(_space(batch_size=batch_size)), reference
-            )
+            monkeypatch.setattr(evaluate_module, "BATCH_SIZE", batch_size)
+            _assert_same_result(run_search(space), reference)
 
     @pytest.mark.skipif(frontier_module._np is None, reason="needs numpy")
     def test_scalar_fallback_matches_numpy(self, monkeypatch):
