@@ -24,23 +24,16 @@ workflow; the layering rule itself pins this package beside
 ``repro.corpus`` (it builds only on ``repro.errors``/``repro.ioutil``).
 """
 
-from repro.analysis.baseline import load_baseline, write_baseline
-from repro.analysis.context import FileContext, Finding
-from repro.analysis.driver import analyze_paths, analyze_sources, collect_files
-from repro.analysis.registry import Rule, all_rule_ids, all_rules, register
-from repro.analysis.report import AnalysisReport
+from repro.lazy import name_table
 
-__all__ = [
-    "AnalysisReport",
-    "FileContext",
-    "Finding",
-    "Rule",
-    "all_rule_ids",
-    "all_rules",
-    "analyze_paths",
-    "analyze_sources",
-    "collect_files",
-    "load_baseline",
-    "register",
-    "write_baseline",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.analysis.baseline": ("load_baseline", "write_baseline"),
+    "repro.analysis.context": ("FileContext", "Finding"),
+    "repro.analysis.driver": (
+        "analyze_paths", "analyze_sources", "collect_files",
+    ),
+    "repro.analysis.registry": (
+        "Rule", "all_rule_ids", "all_rules", "register",
+    ),
+    "repro.analysis.report": ("AnalysisReport",),
+})

@@ -8,13 +8,19 @@ a higher one.  Same-rank imports are allowed (that is the documented
 to ``search.frontier``).
 
 The project pass additionally detects import cycles among the analyzed
-``repro`` modules (Tarjan SCC over the static import graph).
+``repro`` modules (Tarjan SCC over the static import graph).  The graph
+counts the implicit package edges too: ``from a.b.c import x`` runs the
+``__init__`` of ``a`` and ``a.b`` first, so module ``m`` gets the edges
+``m -> a.b`` and ``m -> a`` as well, except to packages that enclose
+``m`` (those are already initializing).  That is how an eager package
+``__init__`` closes a cycle no single file shows.
 
 Only *module-scope* imports count.  Imports inside functions are the
-codebase's two documented escape hatches — PEP 562-style laziness (the
-engine ``__init__``, the CLI command bodies) and runtime-upward
-resolution (``process.catalog.get_node`` consulting the node registry)
-— and imports under ``if TYPE_CHECKING:`` are annotation-only.
+codebase's two documented escape hatches — PEP 562 laziness (the
+``repro.lazy`` name tables behind every package ``__init__``, the CLI
+command bodies) and runtime-upward resolution
+(``process.catalog.get_node`` consulting the node registry) — and
+imports under ``if TYPE_CHECKING:`` are annotation-only.
 
 :data:`MODULE_LAYERS` holds per-module overrides for the documented
 leaf modules (``search.frontier``, ``explore.sweep``,
@@ -42,7 +48,7 @@ LAYERS: dict[str, int] = {
     # model core + leaf utilities
     "core": 0, "process": 0, "wafer": 0, "yieldmodel": 0, "packaging": 0,
     "d2d": 0, "reuse": 0, "reporting": 0, "data": 0, "errors": 0,
-    "ioutil": 0, "canon": 0,
+    "ioutil": 0, "canon": 0, "lazy": 0,
     # registries & config
     "registry": 1, "config": 1,
     # batching engine
@@ -161,7 +167,8 @@ class LayeringRule(Rule):
     description = (
         "Enforces the docs/ARCHITECTURE.md import-direction rule: a "
         "repro module may import its own layer or lower layers, never "
-        "upward; the project pass also rejects import cycles."
+        "upward; the project pass also rejects import cycles, "
+        "counting the package __init__ each import runs first."
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
@@ -203,8 +210,9 @@ class LayeringRule(Rule):
         graph: dict[str, set[str]] = {name: set() for name in by_module}
         for name, ctx in by_module.items():
             for target, _node in _imports_of(ctx):
-                if target in by_module and target != name:
-                    graph[name].add(target)
+                for edge in (target, *_enclosing_packages(target, name)):
+                    if edge in by_module and edge != name:
+                        graph[name].add(edge)
         for cycle in _cycles(graph):
             anchor = min(cycle)
             ctx = by_module[anchor]
@@ -212,6 +220,22 @@ class LayeringRule(Rule):
             yield ctx.finding(
                 self.rule_id, ctx.tree, f"import cycle: {loop}"
             )
+
+
+def _enclosing_packages(target: str, module: str) -> list[str]:
+    """The implicit edges of importing ``target`` from ``module``.
+
+    Python runs each enclosing package's ``__init__`` before ``target``
+    itself, so ``from a.b.c import x`` also imports ``a.b`` and ``a``.
+    Packages that enclose ``module`` are skipped: they are already
+    initialized (or initializing) by the time ``module`` runs.
+    """
+    parts = target.split(".")
+    prefixes = (".".join(parts[:i]) for i in range(1, len(parts)))
+    return [
+        package for package in prefixes
+        if module != package and not module.startswith(package + ".")
+    ]
 
 
 def _cycles(graph: dict[str, set[str]]) -> list[list[str]]:

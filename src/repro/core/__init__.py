@@ -5,32 +5,19 @@ Eqs. 4-5), NRE cost (Eqs. 6-8), amortization over production quantity,
 and total-cost assembly.
 """
 
-from repro.core.module import Module, D2D_MODULE_NAME
-from repro.core.chip import Chip
-from repro.core.system import System, soc, multichip
-from repro.core.package_design import PackageDesign
-from repro.core.breakdown import RECost, ChipREDetail, NRECost, TotalCost
-from repro.core.re_cost import compute_re_cost, chip_kgd_cost
-from repro.core.nre_cost import compute_system_nre
-from repro.core.amortize import amortize, amortized_unit_nre
-from repro.core.total import compute_total_cost
+# An export that equals a sibling submodule's name stays eager (see
+# repro.lazy).
+from repro.core.amortize import amortize
+from repro.lazy import name_table
 
-__all__ = [
-    "Module",
-    "D2D_MODULE_NAME",
-    "Chip",
-    "System",
-    "soc",
-    "multichip",
-    "PackageDesign",
-    "RECost",
-    "ChipREDetail",
-    "NRECost",
-    "TotalCost",
-    "compute_re_cost",
-    "chip_kgd_cost",
-    "compute_system_nre",
-    "amortize",
-    "amortized_unit_nre",
-    "compute_total_cost",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.core.module": ("Module", "D2D_MODULE_NAME"),
+    "repro.core.chip": ("Chip",),
+    "repro.core.system": ("System", "soc", "multichip"),
+    "repro.core.package_design": ("PackageDesign",),
+    "repro.core.breakdown": ("RECost", "ChipREDetail", "NRECost", "TotalCost"),
+    "repro.core.re_cost": ("compute_re_cost", "chip_kgd_cost"),
+    "repro.core.nre_cost": ("compute_system_nre",),
+    "repro.core.amortize": ("amortize", "amortized_unit_nre"),
+    "repro.core.total": ("compute_total_cost",),
+})

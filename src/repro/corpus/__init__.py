@@ -19,49 +19,21 @@ thousands run incrementally:
 CLI front-ends: ``chiplet-actuary corpus run`` / ``corpus status``.
 """
 
-from repro.corpus.generator import (
-    CorpusSpec,
-    UnitSpec,
-    corpus_from_dict,
-    expand_template,
-    load_corpus,
-)
-from repro.corpus.hashing import registry_hash, registry_snapshot, spec_hash
-from repro.corpus.manifest import Manifest, UnitRecord, manifest_path
-from repro.corpus.runner import (
-    EXIT_CORRUPT,
-    EXIT_OK,
-    EXIT_PARTIAL,
-    CorpusOptions,
-    CorpusReport,
-    CorpusRunner,
-    UnitOutcome,
-    run_corpus,
-)
-from repro.corpus.store import ResultStore, StoreKey
-from repro.corpus.worker import execute_unit
+from repro.lazy import name_table
 
-__all__ = [
-    "CorpusSpec",
-    "UnitSpec",
-    "corpus_from_dict",
-    "expand_template",
-    "load_corpus",
-    "registry_hash",
-    "registry_snapshot",
-    "spec_hash",
-    "Manifest",
-    "UnitRecord",
-    "manifest_path",
-    "EXIT_OK",
-    "EXIT_PARTIAL",
-    "EXIT_CORRUPT",
-    "CorpusOptions",
-    "CorpusReport",
-    "CorpusRunner",
-    "UnitOutcome",
-    "run_corpus",
-    "ResultStore",
-    "StoreKey",
-    "execute_unit",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.corpus.generator": (
+        "CorpusSpec", "UnitSpec", "corpus_from_dict", "expand_template",
+        "load_corpus",
+    ),
+    "repro.corpus.hashing": (
+        "registry_hash", "registry_snapshot", "spec_hash",
+    ),
+    "repro.corpus.manifest": ("Manifest", "UnitRecord", "manifest_path"),
+    "repro.corpus.runner": (
+        "EXIT_CORRUPT", "EXIT_OK", "EXIT_PARTIAL", "CorpusOptions",
+        "CorpusReport", "CorpusRunner", "UnitOutcome", "run_corpus",
+    ),
+    "repro.corpus.store": ("ResultStore", "StoreKey"),
+    "repro.corpus.worker": ("execute_unit",),
+})

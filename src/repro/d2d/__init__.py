@@ -1,13 +1,10 @@
 """Die-to-die (D2D) interface modeling."""
 
-from repro.d2d.interface import D2DInterface, D2D_CATALOG, interface_for
-from repro.d2d.overhead import D2DOverhead, FractionOverhead, BandwidthOverhead
+from repro.lazy import name_table
 
-__all__ = [
-    "D2DInterface",
-    "D2D_CATALOG",
-    "interface_for",
-    "D2DOverhead",
-    "FractionOverhead",
-    "BandwidthOverhead",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.d2d.interface": ("D2DInterface", "D2D_CATALOG", "interface_for"),
+    "repro.d2d.overhead": (
+        "D2DOverhead", "FractionOverhead", "BandwidthOverhead",
+    ),
+})

@@ -20,7 +20,7 @@ reproduces:
 * chip-NRE share of a 2-chiplet MCM at 500k units ~ 36%,
 * multi-chip payback quantity for the 5 nm system ~ 2M units.
 
-See EXPERIMENTS.md for the measured values of each calibration target.
+tests/test_paper_claims.py asserts each calibration target with its band.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ substitute public estimates:
 Because every experiment reports normalized cost, the calibration targets
 are the *shares* the paper quotes (e.g. packaging 24-30% of an AMD-style
 MCM, >25% overhead for MCM at 14 nm, ~50% packaging share for 2.5D at
-7 nm / 900 mm^2).  See EXPERIMENTS.md.
+7 nm / 900 mm^2); tests/test_paper_claims.py asserts each with its band.
 """
 
 from __future__ import annotations

@@ -4,32 +4,14 @@ Each module exposes a ``run_figN`` function returning a structured
 result that benchmarks print, tests schema-check, and examples reuse.
 """
 
-from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig4 import Fig4Panel, Fig4Cell, run_fig4
-from repro.experiments.fig5 import Fig5Result, run_fig5
-from repro.experiments.fig6 import Fig6Entry, Fig6Result, run_fig6
-from repro.experiments.fig8 import Fig8Entry, Fig8Result, run_fig8
-from repro.experiments.fig9 import Fig9Entry, Fig9Result, run_fig9
-from repro.experiments.fig10 import Fig10Entry, Fig10Result, run_fig10
+from repro.lazy import name_table
 
-__all__ = [
-    "Fig2Result",
-    "run_fig2",
-    "Fig4Panel",
-    "Fig4Cell",
-    "run_fig4",
-    "Fig5Result",
-    "run_fig5",
-    "Fig6Entry",
-    "Fig6Result",
-    "run_fig6",
-    "Fig8Entry",
-    "Fig8Result",
-    "run_fig8",
-    "Fig9Entry",
-    "Fig9Result",
-    "run_fig9",
-    "Fig10Entry",
-    "Fig10Result",
-    "run_fig10",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.experiments.fig2": ("Fig2Result", "run_fig2"),
+    "repro.experiments.fig4": ("Fig4Panel", "Fig4Cell", "run_fig4"),
+    "repro.experiments.fig5": ("Fig5Result", "run_fig5"),
+    "repro.experiments.fig6": ("Fig6Entry", "Fig6Result", "run_fig6"),
+    "repro.experiments.fig8": ("Fig8Entry", "Fig8Result", "run_fig8"),
+    "repro.experiments.fig9": ("Fig9Entry", "Fig9Result", "run_fig9"),
+    "repro.experiments.fig10": ("Fig10Entry", "Fig10Result", "run_fig10"),
+})

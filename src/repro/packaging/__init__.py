@@ -1,44 +1,26 @@
 """Packaging and multi-chip integration technologies."""
 
-from repro.packaging.base import IntegrationTech, PackagingAffine, PackagingCost
-from repro.packaging.substrate import OrganicSubstrate
-from repro.packaging.assembly import (
-    AssemblyFlow,
-    direct_attach_cost,
-    carrier_chip_last_cost,
-    carrier_chip_first_cost,
-)
-from repro.packaging.soc import SoCPackage, soc_package
-from repro.packaging.mcm import MCM, mcm
-from repro.packaging.info import InFO, info
-from repro.packaging.interposer import Interposer25D, interposer_25d
-from repro.packaging.stacked3d import Stacked3D, stacked_3d
-from repro.packaging.testcost import (
-    TestCostModel,
-    TestedRECost,
-    compute_tested_re_cost,
-)
+# An export that equals a sibling submodule's name stays eager (see
+# repro.lazy).
+from repro.packaging.mcm import mcm
+from repro.packaging.info import info
+from repro.lazy import name_table
 
-__all__ = [
-    "Stacked3D",
-    "stacked_3d",
-    "TestCostModel",
-    "TestedRECost",
-    "compute_tested_re_cost",
-    "IntegrationTech",
-    "PackagingAffine",
-    "PackagingCost",
-    "OrganicSubstrate",
-    "AssemblyFlow",
-    "direct_attach_cost",
-    "carrier_chip_last_cost",
-    "carrier_chip_first_cost",
-    "SoCPackage",
-    "soc_package",
-    "MCM",
-    "mcm",
-    "InFO",
-    "info",
-    "Interposer25D",
-    "interposer_25d",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.packaging.base": (
+        "IntegrationTech", "PackagingAffine", "PackagingCost",
+    ),
+    "repro.packaging.substrate": ("OrganicSubstrate",),
+    "repro.packaging.assembly": (
+        "AssemblyFlow", "direct_attach_cost", "carrier_chip_last_cost",
+        "carrier_chip_first_cost",
+    ),
+    "repro.packaging.soc": ("SoCPackage", "soc_package"),
+    "repro.packaging.mcm": ("MCM", "mcm"),
+    "repro.packaging.info": ("InFO", "info"),
+    "repro.packaging.interposer": ("Interposer25D", "interposer_25d"),
+    "repro.packaging.stacked3d": ("Stacked3D", "stacked_3d"),
+    "repro.packaging.testcost": (
+        "TestCostModel", "TestedRECost", "compute_tested_re_cost",
+    ),
+})

@@ -17,8 +17,8 @@ place it on the same axes:
 * the finished stack attaches to a conventional substrate sized by the
   *base* footprint only (the headline benefit of 3D).
 
-This is intentionally the simplest credible 3D cost model; it is
-clearly marked as an extension in DESIGN.md and exercised by
+This is intentionally the simplest credible 3D cost model; it is an
+extension beyond the paper, exercised by
 ``benchmarks/bench_ablation_3d.py``.
 """
 

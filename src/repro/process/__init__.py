@@ -1,24 +1,12 @@
 """Process technology database: nodes, density scaling, defect learning."""
 
-from repro.process.node import ProcessNode
-from repro.process.catalog import (
-    NODES,
-    get_node,
-    list_nodes,
-    logic_nodes,
-    packaging_nodes,
-)
-from repro.process.scaling import area_scale_factor, scale_area
-from repro.process.defects import DefectLearningCurve
+from repro.lazy import name_table
 
-__all__ = [
-    "ProcessNode",
-    "NODES",
-    "get_node",
-    "list_nodes",
-    "logic_nodes",
-    "packaging_nodes",
-    "area_scale_factor",
-    "scale_area",
-    "DefectLearningCurve",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.process.node": ("ProcessNode",),
+    "repro.process.catalog": (
+        "NODES", "get_node", "list_nodes", "logic_nodes", "packaging_nodes",
+    ),
+    "repro.process.scaling": ("area_scale_factor", "scale_area"),
+    "repro.process.defects": ("DefectLearningCurve",),
+})

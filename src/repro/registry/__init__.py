@@ -22,79 +22,30 @@ Yield-model entries are *families*: parameters they leave open (defect
 density, clustering) bind from the process node at pricing time.
 """
 
-from repro.registry.core import Registry, singleton
-from repro.registry.d2d import (
-    D2DRegistry,
-    d2d_from_spec,
-    d2d_registry,
-    d2d_to_spec,
-    register_d2d,
-)
-from repro.registry.geometries import (
-    GEOMETRY_FIELDS,
-    WaferGeometryRegistry,
-    register_wafer_geometry,
-    wafer_geometry_from_spec,
-    wafer_geometry_registry,
-    wafer_geometry_to_spec,
-)
-from repro.registry.nodes import (
-    NODE_FIELDS,
-    NodeRegistry,
-    node_from_spec,
-    node_registry,
-    node_to_spec,
-    register_node,
-)
-from repro.registry.technologies import (
-    TechnologyEntry,
-    TechnologyRegistry,
-    parse_flow,
-    register_technology,
-    technology_from_spec,
-    technology_registry,
-    technology_to_spec,
-)
-from repro.registry.yieldmodels import (
-    YieldModelEntry,
-    YieldModelRegistry,
-    register_yield_model,
-    yield_model_from_spec,
-    yield_model_registry,
-    yield_model_to_spec,
-)
+from repro.lazy import name_table
 
-__all__ = [
-    "Registry",
-    "singleton",
-    "NodeRegistry",
-    "NODE_FIELDS",
-    "node_from_spec",
-    "node_registry",
-    "node_to_spec",
-    "register_node",
-    "TechnologyEntry",
-    "TechnologyRegistry",
-    "parse_flow",
-    "register_technology",
-    "technology_from_spec",
-    "technology_registry",
-    "technology_to_spec",
-    "D2DRegistry",
-    "d2d_from_spec",
-    "d2d_registry",
-    "d2d_to_spec",
-    "register_d2d",
-    "YieldModelEntry",
-    "YieldModelRegistry",
-    "register_yield_model",
-    "yield_model_from_spec",
-    "yield_model_registry",
-    "yield_model_to_spec",
-    "GEOMETRY_FIELDS",
-    "WaferGeometryRegistry",
-    "register_wafer_geometry",
-    "wafer_geometry_from_spec",
-    "wafer_geometry_registry",
-    "wafer_geometry_to_spec",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.registry.core": ("Registry", "singleton"),
+    "repro.registry.d2d": (
+        "D2DRegistry", "d2d_from_spec", "d2d_registry", "d2d_to_spec",
+        "register_d2d",
+    ),
+    "repro.registry.geometries": (
+        "GEOMETRY_FIELDS", "WaferGeometryRegistry", "register_wafer_geometry",
+        "wafer_geometry_from_spec", "wafer_geometry_registry",
+        "wafer_geometry_to_spec",
+    ),
+    "repro.registry.nodes": (
+        "NODE_FIELDS", "NodeRegistry", "node_from_spec", "node_registry",
+        "node_to_spec", "register_node",
+    ),
+    "repro.registry.technologies": (
+        "TechnologyEntry", "TechnologyRegistry", "parse_flow",
+        "register_technology", "technology_from_spec", "technology_registry",
+        "technology_to_spec",
+    ),
+    "repro.registry.yieldmodels": (
+        "YieldModelEntry", "YieldModelRegistry", "register_yield_model",
+        "yield_model_from_spec", "yield_model_registry", "yield_model_to_spec",
+    ),
+})

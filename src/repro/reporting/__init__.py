@@ -1,14 +1,11 @@
 """Reporting: fixed-width tables, figure series, ASCII charts."""
 
-from repro.reporting.table import Table
-from repro.reporting.series import Series, FigureData
-from repro.reporting.ascii_plot import bar_chart, line_chart, stacked_bar_chart
+from repro.lazy import name_table
 
-__all__ = [
-    "Table",
-    "Series",
-    "FigureData",
-    "bar_chart",
-    "line_chart",
-    "stacked_bar_chart",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.reporting.table": ("Table",),
+    "repro.reporting.series": ("Series", "FigureData"),
+    "repro.reporting.ascii_plot": (
+        "bar_chart", "line_chart", "stacked_bar_chart",
+    ),
+})

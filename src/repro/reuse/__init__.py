@@ -1,27 +1,13 @@
 """Chiplet reuse: portfolios, package reuse, SCMS / OCME / FSMC schemes."""
 
-from repro.reuse.portfolio import Portfolio
-from repro.reuse.scms import SCMSConfig, SCMSStudy, build_scms
-from repro.reuse.ocme import OCMEConfig, OCMEStudy, build_ocme
-from repro.reuse.fsmc import (
-    FSMCConfig,
-    FSMCStudy,
-    build_fsmc,
-    collocation_count,
-    enumerate_collocations,
-)
+from repro.lazy import name_table
 
-__all__ = [
-    "Portfolio",
-    "SCMSConfig",
-    "SCMSStudy",
-    "build_scms",
-    "OCMEConfig",
-    "OCMEStudy",
-    "build_ocme",
-    "FSMCConfig",
-    "FSMCStudy",
-    "build_fsmc",
-    "collocation_count",
-    "enumerate_collocations",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.reuse.portfolio": ("Portfolio",),
+    "repro.reuse.scms": ("SCMSConfig", "SCMSStudy", "build_scms"),
+    "repro.reuse.ocme": ("OCMEConfig", "OCMEStudy", "build_ocme"),
+    "repro.reuse.fsmc": (
+        "FSMCConfig", "FSMCStudy", "build_fsmc", "collocation_count",
+        "enumerate_collocations",
+    ),
+})

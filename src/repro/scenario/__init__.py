@@ -7,66 +7,21 @@ figure/partition/Monte-Carlo/Pareto/sensitivity/reuse studies — and
 batched :class:`~repro.engine.costengine.CostEngine` fast paths.
 """
 
-from repro.scenario.spec import (
-    FIGURE_IDS,
-    REUSE_SCHEMES,
-    STUDY_TYPES,
-    FigureStudy,
-    MonteCarloStudy,
-    ParetoStudy,
-    PartitionGridStudy,
-    PartitionSweepStudy,
-    ReuseStudy,
-    ScenarioSpec,
-    SearchStudy,
-    SensitivityStudy,
-    SystemsStudy,
-    load_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    study_from_dict,
-    study_to_dict,
-)
-from repro.scenario.runner import (
-    ScenarioResult,
-    ScenarioRunner,
-    StudyResult,
-    run_scenario,
-)
-from repro.scenario.sinks import (
-    SINK_FORMATS,
-    SinkSpec,
-    sink_from_mapping,
-    write_sinks,
-)
+from repro.lazy import name_table
 
-__all__ = [
-    "FIGURE_IDS",
-    "REUSE_SCHEMES",
-    "STUDY_TYPES",
-    "FigureStudy",
-    "SystemsStudy",
-    "PartitionSweepStudy",
-    "PartitionGridStudy",
-    "MonteCarloStudy",
-    "ParetoStudy",
-    "SearchStudy",
-    "SensitivityStudy",
-    "ReuseStudy",
-    "ScenarioSpec",
-    "scenario_to_dict",
-    "scenario_from_dict",
-    "study_to_dict",
-    "study_from_dict",
-    "load_scenario",
-    "save_scenario",
-    "ScenarioRunner",
-    "ScenarioResult",
-    "StudyResult",
-    "run_scenario",
-    "SINK_FORMATS",
-    "SinkSpec",
-    "sink_from_mapping",
-    "write_sinks",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.scenario.spec": (
+        "FIGURE_IDS", "REUSE_SCHEMES", "STUDY_TYPES", "FigureStudy",
+        "MonteCarloStudy", "ParetoStudy", "PartitionGridStudy",
+        "PartitionSweepStudy", "ReuseStudy", "ScenarioSpec", "SearchStudy",
+        "SensitivityStudy", "SystemsStudy", "load_scenario", "save_scenario",
+        "scenario_from_dict", "scenario_to_dict", "study_from_dict",
+        "study_to_dict",
+    ),
+    "repro.scenario.runner": (
+        "ScenarioResult", "ScenarioRunner", "StudyResult", "run_scenario",
+    ),
+    "repro.scenario.sinks": (
+        "SINK_FORMATS", "SinkSpec", "sink_from_mapping", "write_sinks",
+    ),
+})

@@ -8,48 +8,22 @@ frontier plus a top-k cost ranking — never building one ``System``
 object per candidate on the hot path.  ``repro.search.oracle`` holds
 the naive per-candidate reference the fast path is parity-tested
 against.
-
-Submodules import lazily (PEP 562) so ``import repro.search`` stays
-cheap for callers that only need one piece.
 """
 
-from __future__ import annotations
+from repro.lazy import name_table
 
-_EXPORTS = {
-    "DEFAULT_BLOCK_SIZE": "repro.search.frontier",
-    "FrontierAccumulator": "repro.search.frontier",
-    "non_dominated": "repro.search.frontier",
-    "non_dominated_mask": "repro.search.frontier",
-    "CandidateAxes": "repro.search.space",
-    "CandidateGroup": "repro.search.space",
-    "DesignSpace": "repro.search.space",
-    "OBJECTIVES": "repro.search.space",
-    "OBJECTIVE_DESCRIPTIONS": "repro.search.space",
-    "space_from_dict": "repro.search.space",
-    "space_to_dict": "repro.search.space",
-    "EvalBlock": "repro.search.evaluate",
-    "SpaceEvaluator": "repro.search.evaluate",
-    "SearchCandidate": "repro.search.engine",
-    "SearchResult": "repro.search.engine",
-    "candidate_rows": "repro.search.engine",
-    "run_search": "repro.search.engine",
-    "oracle_candidate": "repro.search.oracle",
-    "run_search_oracle": "repro.search.oracle",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.search.frontier": (
+        "DEFAULT_BLOCK_SIZE", "FrontierAccumulator", "non_dominated",
+        "non_dominated_mask",
+    ),
+    "repro.search.space": (
+        "CandidateAxes", "CandidateGroup", "DesignSpace", "OBJECTIVES",
+        "OBJECTIVE_DESCRIPTIONS", "space_from_dict", "space_to_dict",
+    ),
+    "repro.search.evaluate": ("EvalBlock", "SpaceEvaluator"),
+    "repro.search.engine": (
+        "SearchCandidate", "SearchResult", "candidate_rows", "run_search",
+    ),
+    "repro.search.oracle": ("oracle_candidate", "run_search_oracle"),
+})

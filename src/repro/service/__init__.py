@@ -20,45 +20,20 @@ instead.  Five pieces (docs/SERVICE.md walks through them):
 * :mod:`repro.service.app` — the stdlib ``ThreadingHTTPServer``
   endpoints (``POST /v1/cost`` / ``/v1/scenario`` / ``/v1/search``,
   ``GET /v1/registries`` / ``/healthz``), wired to ``repro serve``.
-
-Attributes resolve lazily (PEP 562) so importing :mod:`repro` never
-pulls in ``http.server``.
 """
 
-from __future__ import annotations
+from repro.lazy import name_table
 
-_EXPORTS = {
-    "CostRequest": "repro.service.schemas",
-    "CostResult": "repro.service.schemas",
-    "ScenarioRequest": "repro.service.schemas",
-    "ScenarioRunResult": "repro.service.schemas",
-    "SearchRequest": "repro.service.schemas",
-    "SearchRunResult": "repro.service.schemas",
-    "StudySummary": "repro.service.schemas",
-    "cost_table": "repro.service.schemas",
-    "ServiceState": "repro.service.state",
-    "build_system": "repro.service.state",
-    "evaluate_cost": "repro.service.state",
-    "CostBatcher": "repro.service.batching",
-    "ResponseCache": "repro.service.cache",
-    "CostServiceServer": "repro.service.app",
-    "ServerThread": "repro.service.app",
-    "make_server": "repro.service.app",
-    "serve": "repro.service.app",
-    "ServiceClient": "repro.service.client",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.service.schemas": (
+        "CostRequest", "CostResult", "ScenarioRequest", "ScenarioRunResult",
+        "SearchRequest", "SearchRunResult", "StudySummary", "cost_table",
+    ),
+    "repro.service.state": ("ServiceState", "build_system", "evaluate_cost"),
+    "repro.service.batching": ("CostBatcher",),
+    "repro.service.cache": ("ResponseCache",),
+    "repro.service.app": (
+        "CostServiceServer", "ServerThread", "make_server", "serve",
+    ),
+    "repro.service.client": ("ServiceClient",),
+})

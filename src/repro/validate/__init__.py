@@ -1,17 +1,10 @@
 """Validation reference configurations (AMD-style chiplet products)."""
 
-from repro.validate.amd import (
-    AMDConfig,
-    AMDComparison,
-    build_amd_mcm,
-    build_amd_monolithic,
-    compare_amd,
-)
+from repro.lazy import name_table
 
-__all__ = [
-    "AMDConfig",
-    "AMDComparison",
-    "build_amd_mcm",
-    "build_amd_monolithic",
-    "compare_amd",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.validate.amd": (
+        "AMDConfig", "AMDComparison", "build_amd_mcm", "build_amd_monolithic",
+        "compare_amd",
+    ),
+})

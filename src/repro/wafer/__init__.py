@@ -1,41 +1,18 @@
 """Wafer geometry, pricing and die cost."""
 
-from repro.wafer.geometry import (
-    RETICLE_LIMIT_MM2,
-    WaferGeometry,
-    dies_per_wafer,
-    wafer_utilization,
-    fits_reticle,
-)
-from repro.wafer.die import DieCost, DieSpec, die_cost
-from repro.wafer.diecache import (
-    cached_die_cost,
-    clear_die_cost_cache,
-    die_cost_cache_info,
-    no_cache,
-)
-from repro.wafer.harvest import (
-    NO_HARVEST,
-    HarvestSpec,
-    harvest_saving,
-    harvested_die_cost,
-)
+from repro.lazy import name_table
 
-__all__ = [
-    "NO_HARVEST",
-    "HarvestSpec",
-    "harvest_saving",
-    "harvested_die_cost",
-    "RETICLE_LIMIT_MM2",
-    "WaferGeometry",
-    "dies_per_wafer",
-    "wafer_utilization",
-    "fits_reticle",
-    "DieCost",
-    "DieSpec",
-    "die_cost",
-    "cached_die_cost",
-    "clear_die_cost_cache",
-    "die_cost_cache_info",
-    "no_cache",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.wafer.geometry": (
+        "RETICLE_LIMIT_MM2", "WaferGeometry", "dies_per_wafer",
+        "wafer_utilization", "fits_reticle",
+    ),
+    "repro.wafer.die": ("DieCost", "DieSpec", "die_cost"),
+    "repro.wafer.diecache": (
+        "cached_die_cost", "clear_die_cost_cache", "die_cost_cache_info",
+        "no_cache",
+    ),
+    "repro.wafer.harvest": (
+        "NO_HARVEST", "HarvestSpec", "harvest_saving", "harvested_die_cost",
+    ),
+})

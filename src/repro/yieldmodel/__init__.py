@@ -1,31 +1,13 @@
 """Yield models: Eq. (1) of the paper plus industry alternatives."""
 
-from repro.yieldmodel.models import (
-    YieldModel,
-    NegativeBinomialYield,
-    SeedsYield,
-    PoissonYield,
-    MurphyYield,
-    ExponentialYield,
-    BoseEinsteinYield,
-    GrossYield,
-    yield_model_for_node,
-)
-from repro.yieldmodel.composite import SerialYield, overall_yield
-from repro.yieldmodel.sampling import DefectDensityPrior, sample_yields
+from repro.lazy import name_table
 
-__all__ = [
-    "YieldModel",
-    "NegativeBinomialYield",
-    "SeedsYield",
-    "PoissonYield",
-    "MurphyYield",
-    "ExponentialYield",
-    "BoseEinsteinYield",
-    "GrossYield",
-    "yield_model_for_node",
-    "SerialYield",
-    "overall_yield",
-    "DefectDensityPrior",
-    "sample_yields",
-]
+__getattr__, __dir__, __all__ = name_table(__name__, {
+    "repro.yieldmodel.models": (
+        "YieldModel", "NegativeBinomialYield", "SeedsYield", "PoissonYield",
+        "MurphyYield", "ExponentialYield", "BoseEinsteinYield", "GrossYield",
+        "yield_model_for_node",
+    ),
+    "repro.yieldmodel.composite": ("SerialYield", "overall_yield"),
+    "repro.yieldmodel.sampling": ("DefectDensityPrior", "sample_yields"),
+})

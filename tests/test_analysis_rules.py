@@ -128,6 +128,35 @@ def test_layering_detects_module_scope_cycle():
     assert "repro.corpus.a" in findings[0].message
 
 
+def test_layering_cycle_through_implicit_package_edge():
+    # ``from repro.packaging.b import ...`` runs repro/packaging/__init__
+    # first, and its eager import leads back to core.a.
+    findings = run(
+        "src/repro/core/a.py",
+        "from repro.packaging.b import thing\n",
+        ("src/repro/packaging/__init__.py",
+         "from repro.packaging.c import other\n"),
+        ("src/repro/packaging/b.py", "thing = 1\n"),
+        ("src/repro/packaging/c.py", "from repro.core.a import thing\n"),
+    )
+    assert [f.rule for f in findings] == ["layering"]
+    assert findings[0].message == (
+        "import cycle: repro.core.a -> repro.packaging -> "
+        "repro.packaging.c -> repro.core.a"
+    )
+
+
+def test_layering_skips_the_importers_own_packages():
+    # c runs inside repro.packaging, so importing its sibling b adds no
+    # edge back to the package that is already initializing.
+    assert not run(
+        "src/repro/packaging/__init__.py",
+        "from repro.packaging.c import other\n",
+        ("src/repro/packaging/b.py", "thing = 1\n"),
+        ("src/repro/packaging/c.py", "from repro.packaging.b import thing\n"),
+    )
+
+
 def test_layering_unmapped_package_needs_a_layer_assignment():
     findings = run("src/repro/newpkg/mod.py", "x = 1\n")
     assert [f.rule for f in findings] == ["layering"]

@@ -2,7 +2,7 @@
 
 Each test names the claim, the paper's figure/section, and the tolerance
 band we accept given that packaging and NRE parameters are documented
-substitutions (see DESIGN.md section 4 and EXPERIMENTS.md).
+substitutions (see the docstrings of ``repro.data``).
 """
 
 import pytest
@@ -265,7 +265,7 @@ class TestSection51:
     def test_package_reuse_raises_1x_total(self, fig8):
         """§5.1: 'for the smallest 1X system, the total cost will
         increase more than 20%'.  Band: >= 8% (our substrate cost
-        substitution is conservative; see EXPERIMENTS.md)."""
+        substitution is conservative; see repro.data.packaging_costs)."""
         plain = fig8.entry(1, "MCM").total
         reused = fig8.entry(1, "MCM+pkg").total
         assert (reused - plain) / plain >= 0.08
@@ -319,8 +319,7 @@ class TestSection53:
     def test_fsmc_formula_example(self):
         """§5.3: the paper's own formula gives 209 systems for six
         chiplets in a 4-socket package (its prose says 'up to 119',
-        which does not match the formula; we follow the formula —
-        see DESIGN.md)."""
+        which does not match the formula; we follow the formula)."""
         from repro.reuse.fsmc import collocation_count
 
         assert collocation_count(6, 4) == 209

@@ -1,26 +1,77 @@
-"""Public API surface: everything in __all__ resolves and core paths
-are reachable from a single `import repro`."""
+"""Public API surface: everything in __all__ resolves, core paths are
+reachable from a single `import repro`, and that import stays cheap."""
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
+import types
 
 import repro
 
+SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
-def _packages():
-    """``repro`` and every subpackage under it."""
+
+def _modules():
+    """``repro`` and every module and package under it, imported."""
     yield repro
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.ispkg:
-            yield importlib.import_module(info.name)
+        yield importlib.import_module(info.name)
 
 
 def test_all_exports_resolve():
-    """Every ``__all__`` name of every package resolves, including the
-    lazy (PEP 562) tables, which otherwise fail only on first access."""
-    for package in _packages():
+    """Every ``__all__`` name of every package resolves, and never to a
+    module object.
+
+    Every module is imported first: importing ``repro.packaging.mcm``
+    binds the package attribute ``mcm`` to the submodule, which is what
+    a lazy name table would then return instead of the function.
+    """
+    packages = [m for m in _modules() if hasattr(m, "__path__")]
+    shadowed = []
+    for package in packages:
         for name in getattr(package, "__all__", ()):
-            getattr(package, name)  # a stale entry raises AttributeError
+            value = getattr(package, name)  # a stale entry raises
+            if isinstance(value, types.ModuleType):
+                shadowed.append(f"{package.__name__}.{name}")
+    assert not shadowed, f"exports shadowed by submodules: {shadowed}"
+
+
+def _imported(*args: str) -> set[str]:
+    """Modules a fresh ``python -X importtime ARGS`` imports."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+def test_import_repro_loads_only_the_name_table_helper():
+    loaded = _imported("-c", "import repro")
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("repro")} == {
+        "repro", "repro.lazy"
+    }
+
+
+def test_cold_cost_command_skips_the_batch_layers():
+    loaded = _imported(
+        "-m", "repro", "cost", "--area", "400", "--node", "7nm",
+        "--integration", "mcm", "--chiplets", "2",
+    )
+    assert "numpy" not in loaded
+    skipped = (
+        "repro.engine", "repro.search", "repro.scenario.runner",
+        "repro.corpus", "repro.analysis", "repro.service.app",
+    )
+    assert not [m for m in loaded if m.startswith(skipped)]
 
 
 def test_version():
