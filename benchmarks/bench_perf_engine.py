@@ -31,7 +31,7 @@ replace and records the throughput trajectory to ``BENCH_engine.json``:
   ``DesignSpace``.  Every subsample candidate is asserted bit-identical
   between the two paths and the pruned frontier set-identical to the
   ``pareto_frontier`` oracle before the speedup is reported.
-  Acceptance: >= 20x.
+  Acceptance: >= 60x.
 * **Prior draws** — the Monte-Carlo prior stream for a 4-chiplet
   2.5D study: per-call draws exactly as the scalar sampler makes them
   (one ``DefectDensityPrior.sample`` — i.e. one ``random.Random.gauss``
@@ -85,7 +85,7 @@ SWEEP_SPEEDUP_FLOOR = 3.0
 PORTFOLIO_SPEEDUP_FLOOR = 5.0
 THOUSAND_SPEEDUP_FLOOR = 5.0
 PRIOR_DRAWS_SPEEDUP_FLOOR = 5.0
-SEARCH_SPEEDUP_FLOOR = 20.0
+SEARCH_SPEEDUP_FLOOR = 60.0
 REQUESTS_PER_SEC_SPEEDUP_FLOOR = 20.0
 
 #: Full-mode acceptance floors, recorded in BENCH_engine.json.

@@ -4,8 +4,11 @@ The bit-parity contract (PERFORMANCE.md) pins the fast paths to the
 oracle's exact float operation order: transcendentals stay on libm,
 vector folds are strictly sequential (``add.accumulate``, ``cumsum``),
 and every random stream is a seeded, transplanted MT19937.  Inside the
-parity-critical ``repro/engine/`` and ``repro/search/`` trees this rule
-flags the constructs that silently break that contract:
+parity-critical ``repro/engine/``, ``repro/search/`` and
+``repro/packaging/`` trees and the die-cost column module
+``repro/wafer/diecolumns.py`` (the packaging arithmetic runs on the
+search's columns) this rule flags the constructs that silently break
+that contract:
 
 * float accumulation over unordered iterables — ``sum()``/``math.fsum``
   over a ``set``/``frozenset`` or ``dict.values()/keys()/items()``
@@ -25,8 +28,8 @@ flags the constructs that silently break that contract:
 they are the blessed strictly-sequential folds.
 
 No module is exempt: the engine has one arithmetic contract
-(PERFORMANCE.md "One arithmetic contract"), so every module under
-both trees is held to bit parity.
+(PERFORMANCE.md "One arithmetic contract"), so every module in scope
+is held to bit parity.
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ from typing import Iterable
 from repro.analysis.context import FileContext, Finding
 from repro.analysis.registry import Rule, register
 
-_SCOPES = ("repro/engine/", "repro/search/")
+_SCOPES = (
+    "repro/engine/", "repro/search/", "repro/packaging/",
+    "repro/wafer/diecolumns.py",
+)
 _UNORDERED_METHODS = {"values", "keys", "items"}
 _ACCUMULATORS = {"sum", "fsum"}
 _RANDOM_ALLOWED = {"Random"}
@@ -73,9 +79,13 @@ def _is_unordered_iterable(node: ast.expr) -> bool:
 @register
 class ParityDeterminismRule(Rule):
     rule_id = "parity-determinism"
-    summary = "engine/search code must be order-stable, seeded and clock-free"
+    summary = (
+        "engine/search/packaging code must be order-stable, seeded and "
+        "clock-free"
+    )
     description = (
-        "Inside the parity-critical engine/ and search/ trees: no float "
+        "Inside the parity-critical engine/, search/ and packaging/ trees "
+        "and wafer/diecolumns.py: no float "
         "accumulation over unordered iterables, no unseeded module-level "
         "random, no wall-clock reads, no reassociating numpy reductions."
     )

@@ -1,4 +1,5 @@
-"""Canonical JSON serialization — the repo's one value-keying primitive.
+"""Canonical forms shared across layers: JSON serialization (the repo's
+one value-keying primitive) and the float summation fold.
 
 :func:`stable_json` started life in ``repro.reuse.keys`` as the
 serialization behind value-based portfolio design keys, was borrowed by
@@ -16,6 +17,9 @@ and platforms.
 
 ``repro.reuse.keys`` re-exports :func:`stable_json` for existing
 callers.
+
+:func:`fold_sum` is the one summation order of the model's float
+sums: a strictly sequential left fold, whatever the Python version.
 """
 
 from __future__ import annotations
@@ -38,4 +42,18 @@ def stable_json(value: object) -> str:
     )
 
 
-__all__ = ["stable_json"]
+def fold_sum(values):
+    """Left-to-right float sum ``((0.0 + v0) + v1) + ...``.
+
+    Builtin ``sum()`` over floats is this fold up to Python 3.11; since
+    3.12 it is Neumaier-compensated, so its last bit depends on the
+    interpreter.  The fold equals the repeated ``+`` of the engine's
+    numpy columns, and folds numpy columns elementwise too.
+    """
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total
+
+
+__all__ = ["fold_sum", "stable_json"]

@@ -8,7 +8,8 @@ from repro.lazy import name_table
 
 __getattr__, __dir__, __all__ = name_table(__name__, {
     "repro.packaging.base": (
-        "IntegrationTech", "PackagingAffine", "PackagingCost",
+        "IntegrationTech", "PackagingAffine", "PackagingColumns",
+        "PackagingCost",
     ),
     "repro.packaging.substrate": ("OrganicSubstrate",),
     "repro.packaging.assembly": (

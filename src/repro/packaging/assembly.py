@@ -15,7 +15,10 @@ Three flows are modelled:
 
 Every function returns the :class:`PackagingAffine` coefficients of
 one attempt: fixed raw and defect spend plus the expected retry count
-that multiplies the committed KGD value (the paper's wasted KGD).
+that multiplies the committed KGD value (the paper's wasted KGD).  The
+per-area inputs (substrate and carrier cost, carrier yield) may be
+numpy columns; the chip count and the bonding yields are scalars, so
+each ``**n_chips`` power is one scalar per call.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import enum
 
 from repro.errors import InvalidParameterError
-from repro.packaging.base import PackagingAffine
+from repro.packaging.base import PackagingAffine, bounds
 
 
 class AssemblyFlow(enum.Enum):
@@ -34,13 +37,17 @@ class AssemblyFlow(enum.Enum):
 
 
 def _check_yield(value: float, label: str) -> None:
-    if not 0.0 < value <= 1.0:
-        raise InvalidParameterError(f"{label} must be in (0, 1], got {value}")
+    for bound in bounds(value):
+        if not 0.0 < bound <= 1.0:
+            raise InvalidParameterError(
+                f"{label} must be in (0, 1], got {bound}"
+            )
 
 
 def _check_nonneg(value: float, label: str) -> None:
-    if value < 0:
-        raise InvalidParameterError(f"{label} must be >= 0, got {value}")
+    smallest, _largest = bounds(value)
+    if smallest < 0:
+        raise InvalidParameterError(f"{label} must be >= 0, got {smallest}")
 
 
 def direct_attach_cost(

@@ -13,6 +13,12 @@ value times an expected retry count (Eqs. 4-5), so each technology
 answers the cost question with the coefficients of that affine form
 (:class:`PackagingAffine`); the itemized cost at a given KGD value is
 derived from them in exactly one place.
+
+The built-in technologies write that arithmetic over floats and numpy
+columns alike, so :meth:`IntegrationTech.packaging_columns` prices a
+whole column of areas (at one chip count) by running the scalar
+methods once on column-valued chips: the same operators in the same
+order, hence the same bits per row.
 """
 
 from __future__ import annotations
@@ -22,6 +28,30 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import EmptySystemError, InvalidParameterError
+from repro.process.node import ProcessNode
+from repro.wafer.die import DieSpec, die_cost
+
+
+def bounds(value):
+    """``(min, max)`` of a number or of a numpy column; the packaging
+    arithmetic checks its inputs on these so that one check serves
+    both."""
+    if isinstance(value, (int, float)):
+        return value, value
+    return value.min(), value.max()
+
+
+def carrier_cost_and_yield(node: ProcessNode, area):
+    """Raw cost and fabrication yield of a carrier die (RDL or
+    interposer) of ``area`` mm^2 on ``node``: :func:`die_cost` for one
+    area, its closed-form column for a numpy column."""
+    if getattr(area, "ndim", 0) == 0:
+        cost = die_cost(DieSpec(area=area, node=node))
+        return cost.raw, cost.die_yield
+    from repro.wafer.diecolumns import die_cost_columns
+
+    columns = die_cost_columns(node, area)
+    return columns.raw, columns.die_yield
 
 
 @dataclass(frozen=True)
@@ -102,6 +132,28 @@ class PackagingAffine:
         return self.fixed_total + self.wasted_kgd(kgd_cost)
 
 
+@dataclass(frozen=True, eq=False)
+class PackagingColumns:
+    """Packaging of one technology over a column of chip areas.
+
+    Row ``i`` is a package of ``n_chips`` chips of the column's ``i``-th
+    area.  Each attribute is a column: a numpy array for a numpy input,
+    a list of floats otherwise.
+
+    Attributes:
+        fixed: ``PackagingAffine.fixed_total`` (raw package plus
+            package defects), USD.
+        wasted_slope: ``PackagingAffine.wasted_slope``, expected retries.
+        footprint: ``package_area``, mm^2.
+        nre: ``package_nre``, USD.
+    """
+
+    fixed: Sequence[float]
+    wasted_slope: Sequence[float]
+    footprint: Sequence[float]
+    nre: Sequence[float]
+
+
 class IntegrationTech(ABC):
     """One way of turning chips into a packaged system."""
 
@@ -109,15 +161,19 @@ class IntegrationTech(ABC):
     name: str = ""
     #: Human-facing label, e.g. "MCM".
     label: str = ""
+    #: True when ``packaging_affine`` / ``package_area`` /
+    #: ``package_nre`` also accept chips whose areas are numpy columns.
+    column_arithmetic: bool = False
 
     @staticmethod
     def _check_chip_areas(chip_areas: Sequence[float]) -> None:
         if not chip_areas:
             raise EmptySystemError("a package needs at least one chip")
         for area in chip_areas:
-            if area <= 0:
+            smallest, _largest = bounds(area)
+            if smallest <= 0:
                 raise InvalidParameterError(
-                    f"chip areas must be > 0 mm^2, got {area}"
+                    f"chip areas must be > 0 mm^2, got {smallest}"
                 )
 
     @abstractmethod
@@ -156,6 +212,37 @@ class IntegrationTech(ABC):
     @abstractmethod
     def package_nre(self, chip_areas: Sequence[float]) -> float:
         """One-time package design cost (Kp*Sp + Cp), USD."""
+
+    def packaging_columns(self, areas, n_chips: int) -> PackagingColumns:
+        """:meth:`packaging_affine`, :meth:`package_area` and
+        :meth:`package_nre` of ``n_chips`` chips of each area in the
+        column ``areas``, row for row.
+
+        A numpy column goes through the technology's own arithmetic
+        once, with column-valued chips, when the technology has
+        ``column_arithmetic``; anything else is priced one area at a
+        time.
+        """
+        from repro.wafer.diecolumns import full, is_vector
+
+        if self.column_arithmetic and is_vector(areas):
+            chips = (areas,) * n_chips
+            affine = self.packaging_affine(chips)
+            return PackagingColumns(
+                fixed=affine.fixed_total,
+                wasted_slope=full(affine.wasted_slope, areas),
+                footprint=self.package_area(chips),
+                nre=self.package_nre(chips),
+            )
+        fixed, slopes, footprint, nre = [], [], [], []
+        for area in areas:
+            chips = (area,) * n_chips
+            affine = self.packaging_affine(chips)
+            fixed.append(affine.fixed_total)
+            slopes.append(affine.wasted_slope)
+            footprint.append(self.package_area(chips))
+            nre.append(self.package_nre(chips))
+        return PackagingColumns(fixed, slopes, footprint, nre)
 
     @property
     def max_chips(self) -> int | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.canon import fold_sum
 from repro.data.packaging_costs import PACKAGING_DEFAULTS
 from repro.errors import InvalidParameterError
 from repro.packaging.assembly import (
@@ -20,11 +21,14 @@ from repro.packaging.assembly import (
     carrier_chip_first_cost,
     carrier_chip_last_cost,
 )
-from repro.packaging.base import IntegrationTech, PackagingAffine
+from repro.packaging.base import (
+    IntegrationTech,
+    PackagingAffine,
+    carrier_cost_and_yield,
+)
 from repro.packaging.substrate import OrganicSubstrate
 from repro.process.catalog import get_node
 from repro.process.node import ProcessNode
-from repro.wafer.die import DieSpec, die_cost
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,7 @@ class InFO(IntegrationTech):
     nre_per_mm2: float
     nre_fixed: float
     flow: AssemblyFlow = AssemblyFlow.CHIP_LAST
+    column_arithmetic = True
 
     name: str = field(default="info", init=False)
     label: str = field(default="InFO", init=False)
@@ -67,16 +72,11 @@ class InFO(IntegrationTech):
     def rdl_area(self, chip_areas: Sequence[float]) -> float:
         """RDL carrier area in mm^2."""
         self._check_chip_areas(chip_areas)
-        return sum(chip_areas) * self.rdl_area_factor
+        return fold_sum(chip_areas) * self.rdl_area_factor
 
     def package_area(self, chip_areas: Sequence[float]) -> float:
         self._check_chip_areas(chip_areas)
-        return sum(chip_areas) * self.substrate_area_factor
-
-    def _rdl_cost_and_yield(self, chip_areas: Sequence[float]) -> tuple[float, float]:
-        spec = DieSpec(area=self.rdl_area(chip_areas), node=self.rdl_node)
-        cost = die_cost(spec)
-        return cost.raw, cost.die_yield
+        return fold_sum(chip_areas) * self.substrate_area_factor
 
     def packaging_affine(
         self,
@@ -85,7 +85,9 @@ class InFO(IntegrationTech):
     ) -> PackagingAffine:
         self._check_chip_areas(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
-        rdl_raw, rdl_yield = self._rdl_cost_and_yield(sizing)
+        rdl_raw, rdl_yield = carrier_cost_and_yield(
+            self.rdl_node, self.rdl_area(sizing)
+        )
         substrate_cost = self.substrate.cost(self.package_area(sizing))
         flow_fn = (
             carrier_chip_last_cost

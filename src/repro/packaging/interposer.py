@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.canon import fold_sum
 from repro.data.packaging_costs import PACKAGING_DEFAULTS
 from repro.errors import InvalidParameterError
 from repro.packaging.assembly import (
@@ -18,11 +19,14 @@ from repro.packaging.assembly import (
     carrier_chip_first_cost,
     carrier_chip_last_cost,
 )
-from repro.packaging.base import IntegrationTech, PackagingAffine
+from repro.packaging.base import (
+    IntegrationTech,
+    PackagingAffine,
+    carrier_cost_and_yield,
+)
 from repro.packaging.substrate import OrganicSubstrate
 from repro.process.catalog import get_node
 from repro.process.node import ProcessNode
-from repro.wafer.die import DieSpec, die_cost
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,7 @@ class Interposer25D(IntegrationTech):
     nre_per_mm2: float
     nre_fixed: float
     flow: AssemblyFlow = AssemblyFlow.CHIP_LAST
+    column_arithmetic = True
 
     name: str = field(default="2.5d", init=False)
     label: str = field(default="2.5D", init=False)
@@ -67,18 +72,11 @@ class Interposer25D(IntegrationTech):
         stitch large interposers, which the cost model prices purely by
         area and yield)."""
         self._check_chip_areas(chip_areas)
-        return sum(chip_areas) * self.interposer_area_factor
+        return fold_sum(chip_areas) * self.interposer_area_factor
 
     def package_area(self, chip_areas: Sequence[float]) -> float:
         self._check_chip_areas(chip_areas)
-        return sum(chip_areas) * self.substrate_area_factor
-
-    def _interposer_cost_and_yield(
-        self, chip_areas: Sequence[float]
-    ) -> tuple[float, float]:
-        spec = DieSpec(area=self.interposer_area(chip_areas), node=self.interposer_node)
-        cost = die_cost(spec)
-        return cost.raw, cost.die_yield
+        return fold_sum(chip_areas) * self.substrate_area_factor
 
     def packaging_affine(
         self,
@@ -87,7 +85,9 @@ class Interposer25D(IntegrationTech):
     ) -> PackagingAffine:
         self._check_chip_areas(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
-        interposer_raw, interposer_yield = self._interposer_cost_and_yield(sizing)
+        interposer_raw, interposer_yield = carrier_cost_and_yield(
+            self.interposer_node, self.interposer_area(sizing)
+        )
         substrate_cost = self.substrate.cost(self.package_area(sizing))
         flow_fn = (
             carrier_chip_last_cost

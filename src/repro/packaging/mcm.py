@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.canon import fold_sum
 from repro.data.packaging_costs import PACKAGING_DEFAULTS
 from repro.errors import InvalidParameterError
 from repro.packaging.assembly import direct_attach_cost
@@ -36,6 +37,7 @@ class MCM(IntegrationTech):
 
     name: str = field(default="mcm", init=False)
     label: str = field(default="MCM", init=False)
+    column_arithmetic = True
 
     def __post_init__(self) -> None:
         if self.substrate_area_factor < 1.0:
@@ -45,7 +47,7 @@ class MCM(IntegrationTech):
 
     def package_area(self, chip_areas: Sequence[float]) -> float:
         self._check_chip_areas(chip_areas)
-        return sum(chip_areas) * self.substrate_area_factor
+        return fold_sum(chip_areas) * self.substrate_area_factor
 
     def packaging_affine(
         self,
@@ -54,9 +56,8 @@ class MCM(IntegrationTech):
     ) -> PackagingAffine:
         self._check_chip_areas(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
-        area = sum(sizing) * self.substrate_area_factor
         return direct_attach_cost(
-            substrate_cost=self.substrate.cost(area),
+            substrate_cost=self.substrate.cost(self.package_area(sizing)),
             assembly_fee=self.fixed_assembly_cost,
             n_chips=len(chip_areas),
             chip_attach_yield=self.chip_attach_yield,

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.canon import fold_sum
 from repro.data.packaging_costs import PACKAGING_DEFAULTS
 from repro.errors import InvalidParameterError
 from repro.packaging.assembly import direct_attach_cost
@@ -36,6 +37,7 @@ class SoCPackage(IntegrationTech):
 
     name: str = field(default="soc", init=False)
     label: str = field(default="SoC", init=False)
+    column_arithmetic = True
 
     def __post_init__(self) -> None:
         if self.substrate_area_factor < 1.0:
@@ -65,7 +67,8 @@ class SoCPackage(IntegrationTech):
     ) -> PackagingAffine:
         self._check_one_die(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
-        area = sum(sizing) * self.substrate_area_factor
+        self._check_chip_areas(sizing)
+        area = fold_sum(sizing) * self.substrate_area_factor
         return direct_attach_cost(
             substrate_cost=self.substrate.cost(area),
             assembly_fee=self.fixed_assembly_cost,

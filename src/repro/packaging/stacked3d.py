@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import InvalidParameterError
-from repro.packaging.base import IntegrationTech, PackagingAffine
+from repro.packaging.base import IntegrationTech, PackagingAffine, bounds
 from repro.packaging.substrate import OrganicSubstrate
 
 #: Default parameters (documented public estimates, same spirit as
@@ -68,6 +68,7 @@ class Stacked3D(IntegrationTech):
     final_yield: float
     nre_per_mm2: float
     nre_fixed: float
+    column_arithmetic = True
 
     name: str = field(default="3d", init=False)
     label: str = field(default="3D", init=False)
@@ -91,10 +92,11 @@ class Stacked3D(IntegrationTech):
         self._check_chip_areas(chip_areas)
         base, stacked = self._split_base(chip_areas)
         for area in stacked:
-            if area > base + 1e-9:
+            _all_overhang, any_overhang = bounds(area > base + 1e-9)
+            if any_overhang:
                 raise InvalidParameterError(
-                    f"stacked die of {area:.0f} mm^2 exceeds the "
-                    f"{base:.0f} mm^2 base die"
+                    f"stacked die of {bounds(area)[1]:.0f} mm^2 exceeds "
+                    f"the {bounds(base)[0]:.0f} mm^2 base die"
                 )
 
     def package_area(self, chip_areas: Sequence[float]) -> float:
@@ -110,6 +112,7 @@ class Stacked3D(IntegrationTech):
     ) -> PackagingAffine:
         self.check_stackable(chip_areas)
         sizing = sized_for if sized_for is not None else chip_areas
+        self._check_chip_areas(sizing)
         base, _ = self._split_base(sizing)
         n_stacked = len(chip_areas) - 1
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro.data.packaging_costs import SUBSTRATE_COST_PER_MM2_PER_LAYER
 from repro.errors import InvalidParameterError
+from repro.packaging.base import bounds
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,13 @@ class OrganicSubstrate:
             raise InvalidParameterError("substrate unit cost must be >= 0")
 
     def cost(self, area: float) -> float:
-        """Cost of one substrate of ``area`` mm^2."""
-        if area < 0:
-            raise InvalidParameterError(f"substrate area must be >= 0, got {area}")
+        """Cost of one substrate of ``area`` mm^2 (or per area of a
+        numpy column)."""
+        smallest, _largest = bounds(area)
+        if smallest < 0:
+            raise InvalidParameterError(
+                f"substrate area must be >= 0, got {smallest}"
+            )
         return area * self.layers * self.cost_per_mm2_per_layer
 
     def with_layers(self, layers: int) -> "OrganicSubstrate":

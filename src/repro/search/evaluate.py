@@ -9,19 +9,19 @@ arguments:
 * **Chip area** — equal share plus fractional D2D overhead, the exact
   expressions of ``partition_monolith`` / ``FractionOverhead``.
 * **Die cost** — the closed form of ``repro.wafer.die.die_cost`` under
-  the paper's default geometry/yield model.  numpy float64 multiply /
-  divide / subtract / ``sqrt`` / ``floor`` are IEEE-754 correctly
-  rounded, hence bit-identical to the scalar ops; the one transcendental
-  (the negative-binomial ``**``) runs through Python's libm ``pow`` per
-  element, never numpy's SIMD ``power``, because the two can differ in
-  the last ulp.  A registry die-cost override (named yield model /
-  wafer geometry) is priced through the override callable per unique
-  die instead — same calls the oracle makes.
-* **Packaging** — the technology's packaging coefficients per
-  (technology, count, area) via
-  :func:`~repro.engine.packaging_affine.linearize_packaging`, shared
-  across the node axis; the KGD waste column is the same ``kgd *
-  retries`` multiply the technology's own itemized cost makes.
+  the paper's default geometry/yield model
+  (:func:`repro.wafer.diecolumns.die_cost_columns`: correctly rounded
+  numpy ops, libm ``pow`` per element).  A registry die-cost override
+  (named yield model / wafer geometry) is priced through the override
+  callable per unique die instead — same calls the oracle makes.
+* **Packaging** — one
+  :func:`~repro.engine.packaging_affine.linearize_packaging` call per
+  (technology, count) and block returns the technology's packaging
+  columns over the block's chip areas (the technology's own scalar
+  arithmetic run on column-valued chips, so each row has the bits of
+  the one-system call), shared across the node axis; the KGD waste
+  column is the same ``kgd * retries`` multiply the technology's own
+  itemized cost makes.
 * **Accumulation order** — per-chip sums replicate the
   ``compute_re_cost`` / ``compute_system_nre`` loops exactly (n
   repeated additions from zero; ``x * 1 == x``), and every composite
@@ -39,18 +39,19 @@ oracle across schemes, technologies, nodes, overrides and the scalar
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
+from repro.canon import fold_sum
 from repro.config import ConfigRegistries
 from repro.engine.packaging_affine import linearize_packaging
 from repro.errors import ConfigError, InvalidParameterError, RegistryError
-from repro.packaging.base import IntegrationTech
+from repro.packaging.base import PackagingColumns
 from repro.packaging.soc import soc_package
 from repro.process.node import ProcessNode
 from repro.search.space import CandidateGroup, DesignSpace
 from repro.wafer.die import DieCost
+from repro.wafer.diecolumns import DieColumns, die_cost_columns
 
 try:  # evaluation vectorizes with numpy; falls back to pure Python
     import numpy as _np
@@ -140,7 +141,11 @@ class SpaceEvaluator:
         for start in range(0, len(areas), BATCH_SIZE):
             chunk = areas[start:start + BATCH_SIZE]
             if space.include_soc:
-                packs = {"": _PackColumns(self._soc_tech, 1, chunk)}
+                packs = {
+                    "": linearize_packaging(
+                        self._soc_tech, _soc_chip_areas(chunk), 1
+                    )
+                }
                 for node_name in space.nodes:
                     yield from self._node_blocks(
                         1, 0.0, node_name, chunk, start, packs, soc=True
@@ -149,7 +154,9 @@ class SpaceEvaluator:
                 for fraction in space.d2d_fractions:
                     share, chip_areas = _chip_areas(chunk, count, fraction)
                     packs = {
-                        name: _PackColumns(technology, count, chip_areas)
+                        name: linearize_packaging(
+                            technology, chip_areas, count
+                        )
                         for name, technology in self.technologies.items()
                     }
                     for node_name in space.nodes:
@@ -167,7 +174,7 @@ class SpaceEvaluator:
         node_name: str,
         module_areas: list,
         area_start: int,
-        packs: Mapping[str, "_PackColumns"],
+        packs: Mapping[str, PackagingColumns],
         soc: bool,
         share=None,
         chip_areas=None,
@@ -185,12 +192,12 @@ class SpaceEvaluator:
             share = chip_areas
         chiplet = not soc and fraction > 0.0
         if self.die_cost_fn is None:
-            die = _die_columns_default(node, chip_areas)
+            die = die_cost_columns(node, chip_areas)
             die_default = die
         else:
             die = _die_columns_override(node, chip_areas, self.die_cost_fn)
             die_default = (
-                _die_columns_default(node, chip_areas)
+                die_cost_columns(node, chip_areas)
                 if self.test_model is not None
                 else None
             )
@@ -212,7 +219,9 @@ class SpaceEvaluator:
 
         chips_total = _add(raw_chips, chip_defects)
         for name, pack in packs.items():
-            re_total = _add(chips_total, _add(pack.fixed, pack.wasted(kgd)))
+            re_total = _add(
+                chips_total, _add(pack.fixed, _mul(kgd, pack.wasted_slope))
+            )
             nre_unit = _shift(
                 _add(
                     _add(
@@ -231,7 +240,7 @@ class SpaceEvaluator:
             }
             if test is not None:
                 sort_total, chips_total_default, kgd_default = test
-                wasted_default = pack.wasted(kgd_default)
+                wasted_default = _mul(kgd_default, pack.wasted_slope)
                 attempts = _attempts(chips_total_default, wasted_default)
                 package_test = _scale(
                     attempts, self.test_model.package_test_seconds
@@ -271,73 +280,12 @@ class SpaceEvaluator:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _DieColumns:
-    raw: Sequence[float]
-    defect: Sequence[float]
-    total: Sequence[float]
-    die_yield: Sequence[float]
-
-
-def _die_columns_default(node: ProcessNode, chip_areas) -> _DieColumns:
-    """Closed form of ``die_cost`` under the node-default geometry and
-    negative-binomial model (the exact expressions, in the exact order,
-    of ``WaferGeometry.dies_per_wafer`` and ``NegativeBinomialYield``)."""
-    usable = node.wafer_diameter - 2.0 * 0.0
-    gross_factor = math.pi * (usable / 2.0) ** 2
-    edge_factor = math.pi * usable
-    exponent = -node.cluster_param
-    if _np is not None:
-        table = _np.asarray(chip_areas, dtype=float)
-        dies = _np.floor(
-            gross_factor / table - edge_factor / _np.sqrt(2.0 * table)
-        )
-        small = dies <= 0
-        if small.any():
-            _die_too_large(float(table[small][0]), node)
-        defects = (node.defect_density * table) / 100.0
-        bases = 1.0 + defects / node.cluster_param
-        # libm pow per element, never numpy's SIMD power (last-ulp parity)
-        die_yield = _np.array(
-            [base ** exponent for base in bases.tolist()], dtype=float
-        )
-        raw = node.wafer_price / dies
-        total = raw / die_yield
-        return _DieColumns(raw, total - raw, total, die_yield)
-    raws, defects_out, totals, yields = [], [], [], []
-    for area in chip_areas:
-        dies = max(
-            0,
-            math.floor(
-                gross_factor / area - edge_factor / math.sqrt(2.0 * area)
-            ),
-        )
-        if dies <= 0:
-            _die_too_large(area, node)
-        defects = node.defect_density * area / 100.0
-        die_yield = (1.0 + defects / node.cluster_param) ** exponent
-        raw = node.wafer_price / dies
-        total = raw / die_yield
-        raws.append(raw)
-        defects_out.append(total - raw)
-        totals.append(total)
-        yields.append(die_yield)
-    return _DieColumns(raws, defects_out, totals, yields)
-
-
-def _die_too_large(area: float, node: ProcessNode) -> None:
-    raise InvalidParameterError(
-        f"die of {area:.0f} mm^2 does not fit on a "
-        f"{node.wafer_diameter:.0f} mm wafer"
-    )
-
-
 def _die_columns_override(
     node: ProcessNode, chip_areas, die_cost_fn: DieCostFn
-) -> _DieColumns:
+) -> DieColumns:
     """Per-unique-die pricing through a registry override callable."""
     costs = [die_cost_fn(node, float(area)) for area in chip_areas]
-    columns = _DieColumns(
+    columns = DieColumns(
         [cost.raw for cost in costs],
         [cost.defect for cost in costs],
         [cost.total for cost in costs],
@@ -345,42 +293,11 @@ def _die_columns_override(
     )
     if _np is None:
         return columns
-    return _DieColumns(*(
+    return DieColumns(*(
         _np.asarray(column, dtype=float)
         for column in (columns.raw, columns.defect, columns.total,
                        columns.die_yield)
     ))
-
-
-class _PackColumns:
-    """Per-area packaging columns of one (technology, count) pairing.
-
-    One set of packaging coefficients (plus footprint and package NRE)
-    per area: ``fixed`` is raw package plus package defects, and the
-    KGD-dependent waste re-evaluates per node from the shared retry
-    slopes.
-    """
-
-    def __init__(self, technology: IntegrationTech, count: int, chip_areas):
-        fixed, slopes, footprint, nre = [], [], [], []
-        for area in _tolist(chip_areas):
-            chips = (area,) * count
-            affine = linearize_packaging(technology, chips)
-            fixed.append(affine.fixed_total)
-            slopes.append(affine.wasted_slope)
-            footprint.append(technology.package_area(chips))
-            nre.append(technology.package_nre(chips))
-        self.fixed = _column(fixed)
-        self.footprint = _column(footprint)
-        self.nre = _column(nre)
-        self._slopes = _column(slopes)
-
-    def wasted(self, kgd_values):
-        """KGD waste per area for this pass's committed-KGD values —
-        the ``PackagingAffine.wasted_kgd`` arithmetic, elementwise."""
-        if _np is not None:
-            return kgd_values * self._slopes
-        return [kgd * slope for kgd, slope in zip(kgd_values, self._slopes)]
 
 
 # ----------------------------------------------------------------------
@@ -415,33 +332,22 @@ def _accumulate(count: int, *columns):
     ``compute_system_nre`` (count instances of x accumulate as n
     additions, and ``x * 1 == x`` exactly)."""
     if _np is not None:
-        totals = [_np.zeros(len(column)) for column in columns]
-        for _ in range(count):
-            totals = [
-                total + column for total, column in zip(totals, columns)
-            ]
-        return totals
-    totals = [[0.0] * len(column) for column in columns]
-    for _ in range(count):
-        totals = [
-            [value + item for value, item in zip(total, column)]
-            for total, column in zip(totals, columns)
-        ]
-    return totals
-
-
-def _column(values: list):
-    """A per-area column for elementwise arithmetic (numpy array when
-    available, the plain list otherwise)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=float)
-    return values
+        return [fold_sum((column,) * count) for column in columns]
+    return [
+        [fold_sum((item,) * count) for item in column] for column in columns
+    ]
 
 
 def _add(left, right):
     if _np is not None:
         return left + right
     return [x + y for x, y in zip(left, right)]
+
+
+def _mul(left, right):
+    if _np is not None:
+        return left * right
+    return [x * y for x, y in zip(left, right)]
 
 
 def _div(left, right):
@@ -483,9 +389,3 @@ def _attempts(chips_total, wasted):
         1.0 + waste / total if total > 0 else 1.0
         for waste, total in zip(wasted, chips_total)
     ]
-
-
-def _tolist(column) -> list:
-    if _np is not None and isinstance(column, _np.ndarray):
-        return column.tolist()
-    return list(column)

@@ -15,9 +15,12 @@ from repro.core.system import multichip
 from repro.core.system import chiplet as make_chiplet
 from repro.d2d.overhead import FractionOverhead
 from repro.explore.partition import partition_monolith, soc_reference
+from repro.packaging.assembly import AssemblyFlow
 from repro.packaging.info import info
 from repro.packaging.interposer import interposer_25d
 from repro.packaging.mcm import mcm
+from repro.packaging.soc import soc_package
+from repro.packaging.stacked3d import stacked_3d
 from repro.process.catalog import get_node
 from repro.process.node import ProcessNode
 from repro.reuse.portfolio import Portfolio
@@ -35,6 +38,26 @@ CATALOG_NODES = ("14nm", "10nm", "7nm", "5nm")
 
 #: Multi-chip integration technologies by registry name.
 TECHNOLOGIES = {"mcm": mcm, "info": info, "2.5d": interposer_25d}
+
+#: Every built-in technology and flow, SoC and 3D included.
+BUILTIN_TECHNOLOGIES = {
+    "soc": soc_package,
+    "mcm": mcm,
+    "info-last": info,
+    "info-first": lambda: info(flow=AssemblyFlow.CHIP_FIRST),
+    "2.5d-last": interposer_25d,
+    "2.5d-first": lambda: interposer_25d(flow=AssemblyFlow.CHIP_FIRST),
+    "2.5d-active": lambda: interposer_25d(active=True),
+    "3d": stacked_3d,
+}
+
+#: Chip areas that no binary float holds exactly (tenths that are not
+#: halves), so every sum of them rounds and its order shows in the bits.
+inexact_areas = (
+    st.integers(min_value=10, max_value=4000)
+    .filter(lambda tenths: tenths % 5)
+    .map(lambda tenths: tenths / 10.0)
+)
 
 catalog_node_names = st.sampled_from(CATALOG_NODES)
 catalog_nodes = catalog_node_names.map(get_node)

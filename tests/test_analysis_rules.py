@@ -397,6 +397,25 @@ def test_determinism_clean_on_blessed_idioms():
     ) == set()
 
 
+def test_determinism_covers_packaging_and_die_columns():
+    # The packaging arithmetic also runs on the search's columns, so
+    # it and the shared die-cost column are held to the same contract.
+    for path in (
+        "src/repro/packaging/columns.py",
+        "src/repro/wafer/diecolumns.py",
+    ):
+        assert rules_fired(path, "total = np.sum(column)\n") == {
+            "parity-determinism"
+        }
+        assert rules_fired(path, "total = sum({1.0, 2.0})\n") == {
+            "parity-determinism"
+        }
+    # Elsewhere in the wafer layer the rule stays out.
+    assert rules_fired(
+        "src/repro/wafer/harvest.py", "total = np.sum(column)\n"
+    ) == set()
+
+
 def test_determinism_out_of_scope_outside_engine_search():
     # corpus timing/backoff legitimately reads the clock.
     assert rules_fired(
