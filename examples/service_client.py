@@ -5,13 +5,14 @@ Boots the service on a background thread (port 0 picks a free port — no
 daemon needed), then walks the whole API with the typed client: health
 and registry snapshot, single-design pricing with response caching,
 die-pricing overrides, a streamed scenario run, and a design-space
-search.  Point ``ServiceClient`` at an externally started
-``python -m repro serve`` instead to talk to a shared server.
+search (a scenario with one ``search`` study).  Point ``ServiceClient``
+at an externally started ``python -m repro serve`` instead to talk to a
+shared server.
 
 Run:  PYTHONPATH=src python examples/service_client.py
 """
 
-from repro import CostRequest, ScenarioRequest, SearchRequest
+from repro import CostRequest, ScenarioRequest
 from repro.service.app import ServerThread
 from repro.service.client import ServiceClient
 from repro.service.schemas import cost_table
@@ -31,12 +32,19 @@ SCENARIO = {
     ],
 }
 
-SPACE = {
-    "module_areas": [200, 400, 600],
-    "nodes": ["7nm"],
-    "technologies": ["mcm", "info"],
-    "chiplet_counts": [2, 3, 4],
-    "d2d_fractions": [0.1],
+SEARCH = {
+    "name": "service-search",
+    "studies": [
+        {
+            "kind": "search",
+            "name": "space",
+            "module_areas": [200, 400, 600],
+            "nodes": ["7nm"],
+            "technologies": ["mcm", "info"],
+            "chiplet_counts": [2, 3, 4],
+            "d2d_fractions": [0.1],
+        }
+    ],
 }
 
 
@@ -75,10 +83,10 @@ def main() -> None:
             elif event["event"] == "end":
                 print(f"scenario done ({event['studies']} studies)\n")
 
-        # --- Design-space search through the same warm engine.
-        search = client.search(SearchRequest.from_dict({"space": SPACE}))
+        # --- Design-space search: a one-study scenario, same warm engine.
+        (search,) = client.scenario(SEARCH).studies
         frontier = [row for row in search.rows if row["set"] == "frontier"]
-        print(f"search: {search.n_candidates} candidates, "
+        print(f"{search.text.splitlines()[0]}: "
               f"{len(frontier)} on the frontier")
         best = min(frontier, key=lambda row: row["total"])
         print(f"cheapest frontier point: {best['scheme']} x"

@@ -92,7 +92,6 @@ __getattr__, __dir__, __all__ = name_table(__name__, {
     "repro.analysis.registry": ("all_rule_ids",),
     "repro.service.schemas": (
         "CostRequest", "CostResult", "ScenarioRequest", "ScenarioRunResult",
-        "SearchRequest", "SearchRunResult",
     ),
 })
 

@@ -390,6 +390,14 @@ def study_from_dict(payload: Mapping[str, Any]) -> Any:
     unknown = sorted(set(payload) - field_names - {"kind"})
     if unknown:
         raise ConfigError(f"study kind {kind!r}: unknown keys {unknown}")
+    missing = sorted(
+        spec_field.name for spec_field in dataclasses.fields(cls)
+        if spec_field.default is dataclasses.MISSING
+        and spec_field.default_factory is dataclasses.MISSING
+        and spec_field.name not in payload
+    )
+    if missing:
+        raise ConfigError(f"study kind {kind!r}: missing keys {missing}")
     kwargs = {
         key: tuple(_detuple(item) for item in value)
         if isinstance(value, list)

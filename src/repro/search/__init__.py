@@ -19,7 +19,7 @@ __getattr__, __dir__, __all__ = name_table(__name__, {
     ),
     "repro.search.space": (
         "CandidateAxes", "CandidateGroup", "DesignSpace", "OBJECTIVES",
-        "OBJECTIVE_DESCRIPTIONS", "space_from_dict", "space_to_dict",
+        "OBJECTIVE_DESCRIPTIONS",
     ),
     "repro.search.evaluate": ("EvalBlock", "SpaceEvaluator"),
     "repro.search.engine": (

@@ -299,36 +299,3 @@ class DesignSpace:
             module_area=self.module_areas[area_index],
         )
 
-
-def space_to_dict(space: DesignSpace) -> dict[str, Any]:
-    """JSON-ready form of a space (tuples as lists)."""
-    import dataclasses
-
-    payload: dict[str, Any] = {}
-    for spec_field in dataclasses.fields(space):
-        value = getattr(space, spec_field.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, Mapping):
-            value = dict(value)
-        payload[spec_field.name] = value
-    return payload
-
-
-def space_from_dict(payload: Mapping[str, Any]) -> DesignSpace:
-    """Rebuild a :class:`DesignSpace` from its serialized form."""
-    import dataclasses
-
-    if not isinstance(payload, Mapping):
-        raise ConfigError(
-            f"design space must be a mapping, got {type(payload).__name__}"
-        )
-    known = {f.name for f in dataclasses.fields(DesignSpace)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"design space: unknown keys {unknown}")
-    kwargs = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in payload.items()
-    }
-    return DesignSpace(**kwargs)

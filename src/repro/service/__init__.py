@@ -18,8 +18,9 @@ instead.  Five pieces (docs/SERVICE.md walks through them):
 * :mod:`repro.service.cache` — an LRU response cache keyed by
   canonical request value, invalidated when the registry hash changes;
 * :mod:`repro.service.app` — the stdlib ``ThreadingHTTPServer``
-  endpoints (``POST /v1/cost`` / ``/v1/scenario`` / ``/v1/search``,
-  ``GET /v1/registries`` / ``/healthz``), wired to ``repro serve``.
+  endpoints (``POST /v1/cost`` / ``/v1/scenario``, ``GET
+  /v1/registries`` / ``/healthz``), wired to ``repro serve``.  A
+  design-space search is a scenario with one ``search`` study.
 """
 
 from repro.lazy import name_table
@@ -27,7 +28,7 @@ from repro.lazy import name_table
 __getattr__, __dir__, __all__ = name_table(__name__, {
     "repro.service.schemas": (
         "CostRequest", "CostResult", "ScenarioRequest", "ScenarioRunResult",
-        "SearchRequest", "SearchRunResult", "StudySummary", "cost_table",
+        "StudySummary", "cost_table",
     ),
     "repro.service.state": ("ServiceState", "build_system", "evaluate_cost"),
     "repro.service.batching": ("CostBatcher",),

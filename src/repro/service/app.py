@@ -12,9 +12,8 @@ Endpoints (all JSON; errors are ``{"error": {"type", "message"}}``):
   NDJSON (``application/x-ndjson``), one event object per line:
   ``scenario`` header, one ``study`` event per completed study, one
   ``row`` event per sink row, then ``end`` — chunked transfer, so a
-  long corpus of studies arrives incrementally.
-* ``POST /v1/search`` — sweep a design space
-  (:class:`~repro.service.schemas.SearchRequest`).
+  long corpus of studies arrives incrementally.  A design-space search
+  is a scenario with one ``search`` study.
 * ``GET /v1/registries`` — the live registry snapshot plus its
   content hash (``repro.corpus.hashing``).
 * ``GET /healthz`` — liveness: uptime, requests served, registry
@@ -23,11 +22,13 @@ Endpoints (all JSON; errors are ``{"error": {"type", "message"}}``):
 Status mapping: model/schema errors
 (:class:`~repro.errors.ChipletActuaryError`) are 400, a body over
 :data:`MAX_BODY_BYTES` is 413 (:class:`BodyTooLargeError`; the body
-is left unread and the connection closed), capacity (queue full /
-shutting down) is 503, unknown paths 404, everything else 500.  The
-server is a plain ``ThreadingHTTPServer`` — no new dependencies —
-constructed by :func:`make_server` (port 0 picks a free port; the
-chosen one is on ``server.server_address``).
+is left unread and the connection closed), a body that stalls past
+the handler's socket timeout is 408 (:class:`RequestTimeoutError`; the
+connection is closed), capacity (queue full / shutting down) is 503,
+unknown paths 404, everything else 500.  The server is a plain
+``ThreadingHTTPServer`` — no new dependencies — constructed by
+:func:`make_server` (port 0 picks a free port; the chosen one is on
+``server.server_address``).
 """
 
 from __future__ import annotations
@@ -40,11 +41,7 @@ from typing import Any
 from repro.errors import ChipletActuaryError, InvalidParameterError
 from repro.service.batching import BatcherClosed, CostBatcher, QueueFullError
 from repro.service.cache import ResponseCache
-from repro.service.schemas import (
-    CostRequest,
-    ScenarioRequest,
-    SearchRequest,
-)
+from repro.service.schemas import CostRequest, ScenarioRequest
 from repro.service.state import ServiceState
 
 #: Largest accepted request body (a scenario document is a few KB; a
@@ -55,6 +52,11 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 class BodyTooLargeError(InvalidParameterError):
     """Raised when a request declares a body over :data:`MAX_BODY_BYTES`
     (the HTTP layer maps this to 413 and closes the connection)."""
+
+
+class RequestTimeoutError(InvalidParameterError):
+    """Raised when a request body stalls past :attr:`_Handler.timeout`
+    (the HTTP layer maps this to 408 and closes the connection)."""
 
 
 class CostServiceServer(ThreadingHTTPServer):
@@ -117,6 +119,10 @@ def serve(
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: CostServiceServer  # narrowed for attribute access
+    #: Socket timeout in seconds.  The stdlib default (``None``) lets a
+    #: client that connects and stalls hold its handler thread forever;
+    #: an idle keep-alive connection is closed after this long too.
+    timeout = 30.0
 
     # -- plumbing ------------------------------------------------------
 
@@ -165,7 +171,15 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            # Part of the body may be consumed: the stream cannot be
+            # resynchronized either.
+            self.close_connection = True
+            raise RequestTimeoutError(
+                f"request body not received within {self.timeout} s"
+            ) from None
         try:
             return json.loads(raw)
         except json.JSONDecodeError as error:
@@ -197,7 +211,6 @@ class _Handler(BaseHTTPRequestHandler):
         handlers = {
             "/v1/cost": self._post_cost,
             "/v1/scenario": self._post_scenario,
-            "/v1/search": self._post_search,
         }
         handler = handlers.get(self.path)
         if handler is None:
@@ -211,6 +224,8 @@ class _Handler(BaseHTTPRequestHandler):
             handler()
         except BodyTooLargeError as error:
             self._send_error_json(413, error)
+        except RequestTimeoutError as error:
+            self._send_error_json(408, error)
         except (QueueFullError, BatcherClosed) as error:
             self._send_error_json(503, error)
         except ChipletActuaryError as error:
@@ -303,10 +318,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(b"0\r\n\r\n")
         self.wfile.flush()
 
-    def _post_search(self) -> None:
-        request = SearchRequest.from_dict(self._read_json_body())
-        self._respond_cached("search", request, self.server.state.run_search)
-
 
 class ServerThread:
     """An in-process server on a background thread (tests, benches).
@@ -340,6 +351,7 @@ __all__ = [
     "BodyTooLargeError",
     "CostServiceServer",
     "MAX_BODY_BYTES",
+    "RequestTimeoutError",
     "ServerThread",
     "make_server",
     "serve",

@@ -15,13 +15,7 @@ import urllib.request
 from typing import Any, Iterator
 
 from repro.errors import ChipletActuaryError
-from repro.service.schemas import (
-    CostRequest,
-    CostResult,
-    ScenarioRunResult,
-    SearchRequest,
-    SearchRunResult,
-)
+from repro.service.schemas import CostRequest, CostResult, ScenarioRunResult
 
 
 class ServiceError(ChipletActuaryError):
@@ -111,10 +105,6 @@ class ServiceClient:
                 line = line.strip()
                 if line:
                     yield json.loads(line)
-
-    def search(self, request: SearchRequest) -> SearchRunResult:
-        envelope = self._json("POST", "/v1/search", request.to_dict())
-        return SearchRunResult.from_dict(envelope["result"])
 
 
 __all__ = ["ServiceClient", "ServiceError"]

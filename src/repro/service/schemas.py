@@ -14,14 +14,14 @@ JSON exactly (floats serialize via ``repr``).  :meth:`canonical`
 returns the :func:`repro.canon.stable_json` form — the response cache's
 value key.
 
-Scenario and search requests reuse the repo's existing document codecs
-(``repro.scenario.spec`` / ``repro.search.space``) rather than invent a
-second spelling of those payloads.
+Scenario requests reuse the scenario document codec
+(``repro.scenario.spec``) rather than invent a second spelling of that
+payload; a design-space search is a scenario with one ``search`` study.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.canon import stable_json
@@ -371,111 +371,11 @@ class ScenarioRunResult:
         )
 
 
-# ----------------------------------------------------------------------
-# POST /v1/search
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchRequest:
-    """A design space to sweep, with optional evaluation overrides.
-
-    ``space`` is the :class:`repro.search.space.DesignSpace` document
-    codec payload; override names resolve through the global registries
-    exactly like the ``repro search`` flags.
-    """
-
-    space: Any  # DesignSpace
-    yield_model: str = ""
-    wafer_geometry: str = ""
-
-    _FIELDS = frozenset({"space", "yield_model", "wafer_geometry"})
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "SearchRequest":
-        from repro.search.space import space_from_dict
-
-        payload = _require_mapping(payload, "search request")
-        _check_keys(payload, cls._FIELDS, "search request")
-        if "space" not in payload:
-            raise InvalidParameterError(
-                "search request needs a 'space' field"
-            )
-        return cls(
-            space=space_from_dict(
-                _require_mapping(payload["space"], "search request space")
-            ),
-            yield_model=_string(payload, "yield_model", "", "search request"),
-            wafer_geometry=_string(
-                payload, "wafer_geometry", "", "search request"
-            ),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        from repro.search.space import space_to_dict
-
-        payload: dict[str, Any] = {"space": space_to_dict(self.space)}
-        if self.yield_model:
-            payload["yield_model"] = self.yield_model
-        if self.wafer_geometry:
-            payload["wafer_geometry"] = self.wafer_geometry
-        return payload
-
-    def canonical(self) -> str:
-        return stable_json(self.to_dict())
-
-
-@dataclass(frozen=True)
-class SearchRunResult:
-    """Frontier + top-k of one design-space search, as sink-ready rows
-    (the :func:`repro.search.engine.candidate_rows` record shape)."""
-
-    n_candidates: int
-    objectives: tuple[str, ...]
-    rows: tuple[Mapping[str, Any], ...] = field(default=())
-
-    _FIELDS = frozenset({"n_candidates", "objectives", "rows"})
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "SearchRunResult":
-        payload = _require_mapping(payload, "search result")
-        _check_keys(payload, cls._FIELDS, "search result")
-        objectives = payload.get("objectives", ())
-        if isinstance(objectives, str) or not all(
-            isinstance(name, str) for name in objectives
-        ):
-            raise InvalidParameterError(
-                "search result objectives must be a list of metric names"
-            )
-        return cls(
-            n_candidates=_integer(
-                payload, "n_candidates", 0, "search result"
-            ),
-            objectives=tuple(objectives),
-            rows=tuple(
-                dict(_require_mapping(row, "search result row"))
-                for row in payload.get("rows", ())
-            ),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_candidates": self.n_candidates,
-            "objectives": list(self.objectives),
-            "rows": [dict(row) for row in self.rows],
-        }
-
-    def canonical(self) -> str:
-        return stable_json(self.to_dict())
-
-
 __all__ = [
     "CostRequest",
     "CostResult",
     "ScenarioRequest",
     "ScenarioRunResult",
-    "SearchRequest",
-    "SearchRunResult",
     "StudySummary",
     "cost_table",
 ]

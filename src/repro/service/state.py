@@ -13,9 +13,10 @@ fronts them with an explicit lock discipline:
   which takes the lock once per batch and prices each request with the
   CLI's own :func:`evaluate_cost` — the reason batched results are
   bit-identical to sequential evaluation.
-* **Scenario and search requests take ``state.lock``** for their whole
-  run: they share the same engine (scenario studies route through it),
-  so they serialize against each other and against cost batches.
+* **Scenario requests take ``state.lock``** for their whole run: they
+  share the same engine (scenario studies route through it), so they
+  serialize against each other and against cost batches.  A design-space
+  search is a scenario with one ``search`` study.
 * **Registry reads** (``registry_payload`` / ``current_registry_hash``)
   recompute from the live global registries; the response cache
   compares hashes to invalidate itself when a registry mutates.
@@ -39,8 +40,6 @@ from repro.service.schemas import (
     CostResult,
     ScenarioRequest,
     ScenarioRunResult,
-    SearchRequest,
-    SearchRunResult,
     StudySummary,
 )
 
@@ -67,9 +66,7 @@ def build_system(request: CostRequest) -> Any:
     )
 
 
-def resolve_die_cost_fn(
-    request: CostRequest | SearchRequest, context: str
-) -> Any:
+def resolve_die_cost_fn(request: CostRequest, context: str) -> Any:
     """The die pricing a request's ``yield_model`` / ``wafer_geometry``
     names select, resolved through the global registries by
     :meth:`repro.config.ConfigRegistries.die_cost_fn` (``None``: the
@@ -115,8 +112,8 @@ class ServiceState:
     """Warm engine + registry snapshot behind a thread-safe façade."""
 
     def __init__(self, engine: Any = None):
-        #: Serializes scenario/search runs and cost batches.  An RLock: a scenario run may re-enter via nested
-        #: state helpers.
+        #: Serializes scenario runs and cost batches.  An RLock: a
+        #: scenario run may re-enter via nested state helpers.
         self.lock = threading.RLock()
         if engine is None:
             from repro.engine.costengine import CostEngine
@@ -145,33 +142,21 @@ class ServiceState:
         return outcomes
 
     def run_scenario(self, request: ScenarioRequest) -> ScenarioRunResult:
-        from repro.scenario.runner import ScenarioRunner
-
-        spec = request.selected_spec()
-        with self.lock:
-            self.requests_served += 1
-            result = ScenarioRunner(engine=self.engine).run(spec)
+        """The whole run of :meth:`iter_scenario`, as one result."""
+        events = self.iter_scenario(request)
+        spec = next(events)
         return ScenarioRunResult(
-            scenario=result.scenario,
+            scenario=spec.name,
             description=spec.description,
-            studies=tuple(
-                StudySummary(
-                    name=study.name,
-                    kind=study.kind,
-                    text=study.text,
-                    rows=tuple(dict(row) for row in study.rows),
-                )
-                for study in result.results
-            ),
+            studies=tuple(events),
         )
 
     def iter_scenario(self, request: ScenarioRequest):
         """Yield ``(spec, study summaries...)`` incrementally: first the
         selected spec (for stream headers), then one
         :class:`~repro.service.schemas.StudySummary` per completed
-        study.  The lock is held for the whole iteration — the same
-        serialization :meth:`run_scenario` provides — and released when
-        the generator closes, even on early disconnect."""
+        study.  The lock is held for the whole iteration and released
+        when the generator closes, even on early disconnect."""
         from repro.scenario.runner import ScenarioRunner
 
         spec = request.selected_spec()
@@ -186,22 +171,6 @@ class ServiceState:
                     text=study.text,
                     rows=tuple(dict(row) for row in study.rows),
                 )
-
-    def run_search(self, request: SearchRequest) -> SearchRunResult:
-        from repro.search.engine import candidate_rows, run_search
-
-        with self.lock:
-            self.requests_served += 1
-            result = run_search(
-                request.space,
-                die_cost_fn=resolve_die_cost_fn(request, "search"),
-                context="search",
-            )
-        return SearchRunResult(
-            n_candidates=result.n_candidates,
-            objectives=result.objectives,
-            rows=tuple(candidate_rows(result)),
-        )
 
     # ------------------------------------------------------------------
 

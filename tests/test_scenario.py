@@ -1,5 +1,6 @@
 """Scenario layer: spec round-trip, runner execution, figure parity."""
 
+import dataclasses
 import json
 
 import pytest
@@ -26,6 +27,7 @@ from repro.scenario import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    study_from_dict,
     study_to_dict,
 )
 
@@ -94,6 +96,28 @@ class TestSpecRoundTrip:
                 {"scenario": "x",
                  "studies": [{"kind": "figure", "figure": 2, "oops": 1}]}
             )
+
+    def test_missing_required_study_key_rejected(self, full_spec):
+        """A study without a required field is a typed ``ConfigError``
+        naming it, not a ``TypeError`` from the dataclass constructor
+        (which the service would answer with a 500)."""
+        checked = 0
+        for study in full_spec.studies:
+            payload = study_to_dict(study)
+            for spec_field in dataclasses.fields(study):
+                if (spec_field.default is not dataclasses.MISSING
+                        or spec_field.default_factory
+                        is not dataclasses.MISSING):
+                    continue
+                partial = dict(payload)
+                del partial[spec_field.name]
+                with pytest.raises(
+                    ConfigError,
+                    match=rf"{study.kind}.*missing keys \['{spec_field.name}'\]",
+                ):
+                    study_from_dict(partial)
+                checked += 1
+        assert checked >= len(full_spec.studies)
 
     def test_duplicate_study_names_rejected(self):
         with pytest.raises(ConfigError):

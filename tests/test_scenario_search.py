@@ -73,6 +73,10 @@ class TestSpec:
         with pytest.raises(ConfigError):
             study_from_dict(payload)
 
+    def test_non_mapping_rejected(self):
+        with pytest.raises(ConfigError, match="mapping"):
+            study_from_dict([1, 2, 3])
+
     def test_invalid_space_names_the_study(self):
         with pytest.raises(ConfigError) as excinfo:
             _study(name="bad-space", objectives=("re", "warp"))

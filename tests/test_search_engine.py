@@ -1,5 +1,5 @@
 """The design-space search (`repro.search`): candidate enumeration,
-spec validation and serialization, and — the load-bearing guarantee —
+spec validation, and — the load-bearing guarantee —
 bit-parity of the vectorized `run_search` against the naive
 one-System-per-candidate oracle, on every code path (die-cost override,
 test cost, k objectives, no-SoC, no-numpy scalar fallback)."""
@@ -19,8 +19,6 @@ from repro.search import (
     oracle_candidate,
     run_search,
     run_search_oracle,
-    space_from_dict,
-    space_to_dict,
 )
 
 
@@ -122,33 +120,6 @@ class TestCandidateEnumeration:
     def test_metrics_include_test_cost_only_with_model(self):
         assert "test_cost" not in _space().metrics
         assert "test_cost" in _space(test_cost={}).metrics
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        space = _space(test_cost={"tester_cost_per_hour": 500.0},
-                       objectives=("re", "test_cost"))
-        payload = json.loads(json.dumps(space_to_dict(space)))
-        assert space_from_dict(payload) == space
-
-    def test_unknown_keys_rejected(self):
-        payload = space_to_dict(_space())
-        payload["warp_factor"] = 9
-        with pytest.raises(ConfigError, match="unknown keys"):
-            space_from_dict(payload)
-
-    def test_non_mapping_rejected(self):
-        with pytest.raises(ConfigError, match="mapping"):
-            space_from_dict([1, 2, 3])
-
-    def test_batch_size_is_not_a_space_key(self):
-        """Block size is the evaluator's ``BATCH_SIZE`` constant, not a
-        space setting: a payload that still sends it is rejected."""
-        payload = space_to_dict(_space())
-        assert "batch_size" not in payload
-        payload["batch_size"] = 4096
-        with pytest.raises(ConfigError, match=r"unknown keys \['batch_size'\]"):
-            space_from_dict(payload)
 
 
 def _assert_same_result(fast, slow):

@@ -4,6 +4,8 @@ and error mapping — all against an in-process server."""
 import http.client
 import json
 import socket
+import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -12,15 +14,16 @@ import pytest
 
 from repro.cli import main
 from repro.corpus.hashing import registry_hash
-from repro.service.app import MAX_BODY_BYTES, CostServiceServer, ServerThread
+from repro.service.app import (
+    MAX_BODY_BYTES,
+    CostServiceServer,
+    ServerThread,
+    _Handler,
+)
 from repro.service.batching import QueueFullError
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.schemas import (
-    CostRequest,
-    SearchRequest,
-    cost_table,
-)
-from repro.service.state import evaluate_cost
+from repro.service.schemas import CostRequest, ScenarioRequest, cost_table
+from repro.service.state import ServiceState, evaluate_cost
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +92,40 @@ def test_oversized_body_is_one_typed_413_then_close():
     error = json.loads(body)["error"]
     assert error["type"] == "BodyTooLargeError"
     assert str(MAX_BODY_BYTES) in error["message"]
+
+
+@pytest.mark.parametrize(
+    "partial, status",
+    [
+        (b"POST /v1/cost HTTP/1.1\r\nHost: test\r\n", None),
+        (b"POST /v1/cost HTTP/1.1\r\nHost: test\r\n"
+         b"Content-Length: 40\r\n\r\n{\"area\"", b"408"),
+    ],
+    ids=["stalled-headers", "stalled-body"],
+)
+def test_stalled_client_is_disconnected(monkeypatch, partial, status):
+    """A client that sends part of a request and goes quiet loses its
+    connection after the handler's socket timeout instead of holding a
+    thread forever; a stalled body is answered with a typed 408."""
+    assert 10.0 <= _Handler.timeout <= 120.0  # the stdlib default is None
+    monkeypatch.setattr(_Handler, "timeout", 0.2)
+    with ServerThread() as url:
+        host, port = urllib.parse.urlsplit(url).netloc.split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(partial)
+            started = time.monotonic()
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+            waited = time.monotonic() - started
+    assert waited < 5.0
+    if status is None:
+        assert received == b""
+        return
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.split()[1] == status
+    error = json.loads(body)["error"]
+    assert error["type"] == "RequestTimeoutError"
 
 
 class TestHealthAndRegistries:
@@ -272,6 +309,30 @@ class TestScenarioEndpoint:
             dict(row) for study in result.studies for row in study.rows
         ]
 
+    def test_each_run_counts_once_and_releases_the_lock(self):
+        """``run_scenario`` drains ``iter_scenario``: one served request
+        per run, buffered or streamed, and no lock held afterwards."""
+        state = ServiceState()
+        request = ScenarioRequest.from_dict({"scenario": SCENARIO_DOC})
+        result = state.run_scenario(request)
+        assert [study.name for study in result.studies] == ["granularity"]
+        assert result.scenario == SCENARIO_DOC["name"]
+        assert result.description == SCENARIO_DOC["description"]
+        assert state.requests_served == 1
+        assert len(list(state.iter_scenario(request))) == 2  # spec, study
+        assert state.requests_served == 2
+        acquired = []
+
+        def probe_lock():
+            if state.lock.acquire(timeout=5):
+                acquired.append(True)
+                state.lock.release()
+
+        probe = threading.Thread(target=probe_lock)
+        probe.start()
+        probe.join(timeout=10)
+        assert not probe.is_alive() and acquired == [True]
+
     def test_bad_document_400(self, service):
         with pytest.raises(ServiceError) as excinfo:
             service.scenario({"name": "x", "studies": [{"kind": "nope"}]})
@@ -279,6 +340,9 @@ class TestScenarioEndpoint:
 
 
 class TestSearchEndpoint:
+    """A design-space search is a one-study ``search`` scenario on
+    ``POST /v1/scenario``; ``/v1/search`` is not a route."""
+
     SPACE = {
         "module_areas": [200, 400, 600],
         "nodes": ["7nm"],
@@ -287,34 +351,43 @@ class TestSearchEndpoint:
         "d2d_fractions": [0.1],
     }
 
+    def _search(self, service, **overrides):
+        study = {"kind": "search", "name": "space", **self.SPACE, **overrides}
+        result = service.scenario({"name": "search", "studies": [study]})
+        return result.studies[0]
+
     def test_matches_run_search(self, service):
         from repro.search.engine import candidate_rows, run_search
-        from repro.search.space import space_from_dict
+        from repro.search.space import DesignSpace
 
-        request = SearchRequest.from_dict({"space": self.SPACE})
-        result = service.search(request)
-        oracle = run_search(space_from_dict(self.SPACE))
-        assert result.n_candidates == oracle.n_candidates
-        assert result.objectives == oracle.objectives
-        assert [dict(row) for row in result.rows] == candidate_rows(oracle)
+        study = self._search(service)
+        oracle = run_search(DesignSpace(
+            module_areas=(200, 400, 600),
+            nodes=("7nm",),
+            technologies=("mcm", "info"),
+            chiplet_counts=(2, 3),
+            d2d_fractions=(0.1,),
+        ))
+        assert study.kind == "search"
+        assert f"{oracle.n_candidates} candidates" in study.text
+        assert [dict(row) for row in study.rows] == candidate_rows(oracle)
 
     def test_overrides_change_the_answer(self, service):
-        plain = service.search(SearchRequest.from_dict({"space": self.SPACE}))
-        priced = service.search(
-            SearchRequest.from_dict(
-                {"space": self.SPACE, "yield_model": "poisson"}
-            )
-        )
+        plain = self._search(service)
+        priced = self._search(service, yield_model="poisson")
         assert plain.rows != priced.rows
 
     def test_unknown_override_name_400(self, service):
         with pytest.raises(ServiceError) as excinfo:
-            service.search(
-                SearchRequest.from_dict(
-                    {"space": self.SPACE, "yield_model": "no-such-model"}
-                )
-            )
+            self._search(service, yield_model="no-such-model")
         assert excinfo.value.status == 400
+        assert "no-such-model" in str(excinfo.value)
+
+    def test_search_route_is_a_typed_404(self, service):
+        with pytest.raises(ServiceError) as excinfo:
+            service._json("POST", "/v1/search", {"space": self.SPACE})
+        assert excinfo.value.status == 404
+        assert excinfo.value.error_type == "NotFound"
 
 
 class TestCacheInvalidation:

@@ -5,14 +5,12 @@ import json
 
 import pytest
 
-from repro.errors import InvalidParameterError
+from repro.errors import ConfigError, InvalidParameterError
 from repro.service.schemas import (
     CostRequest,
     CostResult,
     ScenarioRequest,
     ScenarioRunResult,
-    SearchRequest,
-    SearchRunResult,
     StudySummary,
     cost_table,
 )
@@ -215,40 +213,53 @@ class TestScenarioRunResult:
 
 
 class TestSearchSchemas:
-    PAYLOAD = {
-        "space": {
-            "module_areas": [200, 400],
-            "nodes": ["7nm"],
-            "technologies": ["mcm"],
-            "chiplet_counts": [2],
-            "d2d_fractions": [0.1],
-        },
+    """A design-space search travels as a scenario request with one
+    ``search`` study: the scenario codec is its one JSON spelling."""
+
+    STUDY = {
+        "kind": "search",
+        "name": "space",
+        "module_areas": [200, 400],
+        "nodes": ["7nm"],
+        "technologies": ["mcm"],
+        "chiplet_counts": [2],
+        "d2d_fractions": [0.1],
         "yield_model": "poisson",
     }
 
+    def _payload(self, **study):
+        return {"scenario": {"name": "search",
+                             "studies": [dict(self.STUDY, **study)]}}
+
     def test_round_trip(self):
-        request = SearchRequest.from_dict(self.PAYLOAD)
-        again = SearchRequest.from_dict(
+        request = ScenarioRequest.from_dict(self._payload())
+        again = ScenarioRequest.from_dict(
             json.loads(json.dumps(request.to_dict()))
         )
-        assert again.space == request.space
+        assert again.spec == request.spec
         assert again.canonical() == request.canonical()
-        assert again.yield_model == "poisson"
+        assert again.spec.studies[0].yield_model == "poisson"
 
     def test_precision_is_an_unknown_field(self):
         # Search evaluates on the exact tier only.
-        with pytest.raises(InvalidParameterError, match="precision"):
-            SearchRequest.from_dict(dict(self.PAYLOAD, precision="fast"))
+        with pytest.raises(ConfigError, match="precision"):
+            ScenarioRequest.from_dict(self._payload(precision="fast"))
 
     def test_requires_space(self):
-        with pytest.raises(InvalidParameterError, match="space"):
-            SearchRequest.from_dict({"yield_model": "poisson"})
+        payload = self._payload()
+        del payload["scenario"]["studies"][0]["module_areas"]
+        with pytest.raises(ConfigError, match="module_areas"):
+            ScenarioRequest.from_dict(payload)
 
     def test_result_round_trip(self):
-        result = SearchRunResult(
-            n_candidates=12,
-            objectives=("total", "footprint"),
-            rows=({"set": "frontier", "rank": 0, "total": 1.25},),
+        result = ScenarioRunResult(
+            scenario="search",
+            studies=(
+                StudySummary(
+                    name="space", kind="search", text="table",
+                    rows=({"set": "frontier", "rank": 0, "total": 1.25},),
+                ),
+            ),
         )
         through_json = json.loads(json.dumps(result.to_dict()))
-        assert SearchRunResult.from_dict(through_json) == result
+        assert ScenarioRunResult.from_dict(through_json) == result
