@@ -5,10 +5,11 @@ oracle's exact float operation order: transcendentals stay on libm,
 vector folds are strictly sequential (``add.accumulate``, ``cumsum``),
 and every random stream is a seeded, transplanted MT19937.  Inside the
 parity-critical ``repro/engine/``, ``repro/search/`` and
-``repro/packaging/`` trees and the die-cost column module
+``repro/packaging/`` trees, the die-cost column module
 ``repro/wafer/diecolumns.py`` (the packaging arithmetic runs on the
-search's columns) this rule flags the constructs that silently break
-that contract:
+search's columns) and the Monte-Carlo statistics
+``repro/explore/montecarlo.py`` this rule flags the constructs that
+silently break that contract:
 
 * float accumulation over unordered iterables — ``sum()``/``math.fsum``
   over a ``set``/``frozenset`` or ``dict.values()/keys()/items()``
@@ -20,7 +21,9 @@ that contract:
 * wall-clock reads (``time.time``/``monotonic``/``perf_counter``/...,
   ``datetime.now``) — results must be pure functions of the inputs;
 * reassociating numpy reductions — ``np.sum``/``prod``/``dot``/
-  ``matmul``/``einsum``/``nansum`` and their ndarray-method spellings
+  ``matmul``/``einsum``/``nansum``, the statistics ``np.mean``/``std``/
+  ``var``/``average``/``median``/``quantile``/``percentile`` (and
+  their ``nan*`` forms), and the ndarray-method spellings
   (pairwise/blocked summation reorders the fold; use the sequential
   ``add.accumulate`` idiom the engine standardized on).
 
@@ -42,7 +45,7 @@ from repro.analysis.registry import Rule, register
 
 _SCOPES = (
     "repro/engine/", "repro/search/", "repro/packaging/",
-    "repro/wafer/diecolumns.py",
+    "repro/wafer/diecolumns.py", "repro/explore/montecarlo.py",
 )
 _UNORDERED_METHODS = {"values", "keys", "items"}
 _ACCUMULATORS = {"sum", "fsum"}
@@ -54,7 +57,14 @@ _CLOCK_FUNCS = {
 _NUMPY_ALIASES = {"np", "_np", "numpy"}
 _REASSOC_REDUCTIONS = {
     "sum", "prod", "dot", "matmul", "einsum", "nansum", "inner", "vdot",
+    # Statistics reduce through the same pairwise sum (or interpolate
+    # differently from the oracle).
+    "mean", "nanmean", "std", "nanstd", "var", "nanvar", "average",
+    "median", "nanmedian", "quantile", "nanquantile",
+    "percentile", "nanpercentile",
 }
+#: The reductions an ndarray also spells as a method (``arr.mean()``).
+_METHOD_REDUCTIONS = {"sum", "prod", "dot", "matmul", "mean", "std", "var"}
 
 
 def _is_unordered_iterable(node: ast.expr) -> bool:
@@ -189,7 +199,7 @@ class ParityDeterminismRule(Rule):
                     "use the sequential add.accumulate idiom to keep "
                     "bit parity with the oracle",
                 )
-            elif func.attr in {"sum", "prod", "dot", "matmul"} and not (
+            elif func.attr in _METHOD_REDUCTIONS and not (
                 isinstance(owner, ast.Attribute)
             ):
                 # Method spelling (``arr.sum()``): same hazard.  The

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 try:  # numpy accelerates the draw loop; the model never requires it
@@ -233,8 +234,10 @@ class MonteCarloPlan:
                 base = 1.0 + defects / term.cluster_param
                 exponent = -term.cluster_param
                 # libm pow per element: bit-identical to the scalar `**`.
-                die_yield = _np.array(
-                    [value ** exponent for value in base.tolist()]
+                die_yield = _np.fromiter(
+                    map(pow, memoryview(base), repeat(exponent)),
+                    _np.float64,
+                    draws,
                 )
                 yield_cache[key] = die_yield
             total = term.raw / die_yield

@@ -1,8 +1,8 @@
 """Monte-Carlo cost uncertainty.
 
 Propagates defect-density uncertainty (``repro.yieldmodel.sampling``)
-through a system's RE cost, yielding a distribution summary.  Pure
-standard library; deterministic given the seed.
+through a system's RE cost, yielding a distribution summary.
+Deterministic given the seed; numpy, when installed, only speeds it up.
 
 Two implementations produce identical samples:
 
@@ -25,8 +25,15 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable
 
+try:  # numpy takes the statistics as columns; never required
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    _np = None
+
+from repro.canon import fold_sum
 from repro.core.re_cost import compute_re_cost
 from repro.core.system import System
 from repro.core.chip import Chip
@@ -41,24 +48,51 @@ class CostDistribution:
     Derived statistics (mean, std, the sorted sample order) are
     memoized on first use — repeated ``quantile``/``std`` calls reuse
     them instead of re-sorting and re-summing the sample tuple.
+
+    Every statistic is a plain ``float`` with the bits of the scalar
+    definition: sums are the left-to-right fold of
+    :func:`repro.canon.fold_sum` and squares go through libm ``pow``
+    like ``x ** 2``.  With numpy the samples become one float64 column
+    (the fold is ``cumsum``, the order one ``sort``); without it the
+    same expressions run over the tuple.  The two agree bit for bit on
+    finite samples without ``-0.0`` (a sort may place ``-0.0`` and
+    ``0.0`` either way round; costs are positive).
     """
 
     samples: tuple[float, ...]
 
     @cached_property
-    def _sorted_samples(self) -> tuple[float, ...]:
-        return tuple(sorted(self.samples))
+    def _column(self):
+        return _np.fromiter(self.samples, _np.float64, len(self.samples))
+
+    @cached_property
+    def _sorted_samples(self):
+        if _np is None:
+            return tuple(sorted(self.samples))
+        return _np.sort(self._column)
 
     @cached_property
     def mean(self) -> float:
-        return sum(self.samples) / len(self.samples)
+        if _np is None:
+            return fold_sum(self.samples) / len(self.samples)
+        return float(_np.cumsum(self._column)[-1]) / len(self.samples)
 
     @cached_property
     def std(self) -> float:
         mu = self.mean
-        return math.sqrt(
-            sum((x - mu) ** 2 for x in self.samples) / len(self.samples)
-        )
+        n = len(self.samples)
+        if _np is None:
+            squares = fold_sum((x - mu) ** 2 for x in self.samples)
+        else:
+            # libm pow per element, as ``** 2`` (``d * d`` differs in
+            # the last bit for some d).
+            squared = _np.fromiter(
+                map(pow, memoryview(self._column - mu), repeat(2)),
+                _np.float64,
+                n,
+            )
+            squares = float(_np.cumsum(squared)[-1])
+        return math.sqrt(squares / n)
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile, q in [0, 1]."""
@@ -66,14 +100,17 @@ class CostDistribution:
             raise InvalidParameterError(f"quantile must be in [0, 1], got {q}")
         ordered = self._sorted_samples
         if len(ordered) == 1:
-            return ordered[0]
+            return float(ordered[0])
         position = q * (len(ordered) - 1)
         lower = int(math.floor(position))
         upper = int(math.ceil(position))
         if lower == upper:
-            return ordered[lower]
+            return float(ordered[lower])
         weight = position - lower
-        return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
+        return (
+            float(ordered[lower]) * (1.0 - weight)
+            + float(ordered[upper]) * weight
+        )
 
 
 def _perturbed_system(system: System, scales: dict[str, float]) -> System:

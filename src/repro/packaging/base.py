@@ -169,7 +169,12 @@ class IntegrationTech(ABC):
     def _check_chip_areas(chip_areas: Sequence[float]) -> None:
         if not chip_areas:
             raise EmptySystemError("a package needs at least one chip")
+        # A column-valued system repeats one column object per chip.
+        checked: set[int] = set()
         for area in chip_areas:
+            if id(area) in checked:
+                continue
+            checked.add(id(area))
             smallest, _largest = bounds(area)
             if smallest <= 0:
                 raise InvalidParameterError(

@@ -9,8 +9,9 @@ through the vectorized evaluator, pruning as it goes:
 * a running top-k list (by the ``total`` objective, ties broken by
   candidate index) keeps the cost-optimal designs.
 
-Peak memory is one block plus the current frontier — candidate objects
-are materialized only for block survivors and top-k members, so
+Peak memory is the current block, the frontier and the at most
+``top_k`` blocks the running top-k points into — candidate objects are
+materialized only for block survivors and the final top-k, so
 million-candidate spaces stream at bounded memory.  The frontier is
 set-identical to filtering the full candidate list through
 ``repro.explore.pareto.pareto_frontier`` (the naive oracle in
@@ -21,6 +22,8 @@ set-identical to filtering the full candidate list through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 from repro.config import ConfigRegistries
@@ -147,7 +150,9 @@ def run_search(
     )
     test_enabled = evaluator.test_model is not None
     accumulator = FrontierAccumulator()
-    best: list[tuple[float, int, SearchCandidate]] = []
+    # The running top-k holds (total, index, block, offset); only the
+    # final k rows become candidates.
+    best: list[tuple[float, int, EvalBlock, int]] = []
     seen = 0
     for block in evaluator.blocks():
         seen += len(block)
@@ -163,7 +168,7 @@ def run_search(
         # dominated globally, so only local survivors are materialized
         # (the accumulator re-checks them against the running frontier).
         mask = non_dominated_mask(scores)
-        survivors = [offset for offset, kept in enumerate(mask) if kept]
+        survivors = list(compress(range(len(mask)), mask))
         accumulator.add(
             [tuple(scores[offset]) for offset in survivors],
             [
@@ -183,11 +188,10 @@ def run_search(
                     key=lambda offset: (totals[offset], offset),
                 )[: space.top_k]
             best.extend(
-                (totals[offset], block.start + offset,
-                 _materialize(block, offset, test_enabled))
+                (totals[offset], block.start + offset, block, offset)
                 for offset in order
             )
-            best.sort(key=lambda entry: (entry[0], entry[1]))
+            best.sort(key=itemgetter(0, 1))
             del best[space.top_k:]
     frontier = tuple(
         sorted(accumulator.members(), key=lambda candidate: candidate.index)
@@ -197,7 +201,10 @@ def run_search(
         n_candidates=seen,
         objectives=tuple(space.objectives),
         frontier=frontier,
-        top=tuple(candidate for _total, _index, candidate in best),
+        top=tuple(
+            _materialize(block, offset, test_enabled)
+            for _total, _index, block, offset in best
+        ),
     )
 
 

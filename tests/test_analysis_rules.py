@@ -375,10 +375,45 @@ def test_determinism_fires_on_numpy_reduction():
     assert "reassociate" in findings[0].message
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "mean", "nanmean", "std", "nanstd", "var", "nanvar", "average",
+        "median", "nanmedian", "quantile", "nanquantile",
+        "percentile", "nanpercentile",
+    ],
+)
+def test_determinism_fires_on_numpy_statistics(name):
+    # Statistics reduce through numpy's pairwise sum (or interpolate
+    # their own way), so they break the oracle's sequential fold too.
+    findings = run(
+        "src/repro/explore/montecarlo.py", f"value = np.{name}(column)\n"
+    )
+    assert [f.rule for f in findings] == ["parity-determinism"]
+    assert f"np.{name}()" in findings[0].message
+
+
 def test_determinism_fires_on_method_reduction():
     assert rules_fired(
         "src/repro/engine/bad.py", "total = column.sum()\n"
     ) == {"parity-determinism"}
+
+
+@pytest.mark.parametrize("name", ["mean", "std", "var"])
+def test_determinism_fires_on_method_statistics(name):
+    assert rules_fired(
+        "src/repro/search/bad.py", f"value = column.{name}()\n"
+    ) == {"parity-determinism"}
+
+
+def test_determinism_covers_monte_carlo_statistics_only():
+    assert rules_fired(
+        "src/repro/explore/montecarlo.py", "total = sum({1.0, 2.0})\n"
+    ) == {"parity-determinism"}
+    # The rest of the exploration layer stays out.
+    assert rules_fired(
+        "src/repro/explore/sensitivity.py", "value = np.mean(column)\n"
+    ) == set()
 
 
 def test_determinism_clean_on_blessed_idioms():

@@ -215,11 +215,13 @@ class TestCostEndpoint:
     def test_invalid_json_400(self, service):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post_raw(service, "/v1/cost", b"{not json")
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_missing_body_400(self, service):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post_raw(service, "/v1/cost", b"")
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_malformed_content_length_400(self, service):
