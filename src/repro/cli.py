@@ -35,7 +35,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro.errors import ChipletActuaryError
+from repro.errors import ChipletActuaryError, InvalidParameterError
 from repro.experiments.common import (
     MULTICHIP_TECH_NAMES,
     multichip_integrations,
@@ -269,7 +269,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     die_cost_fn = _die_cost_override(args, "sweep")
     engine = default_engine()
     node = get_node(args.node)
-    areas = list(range(int(args.start), int(args.stop) + 1, int(args.step)))
+    step = int(args.step)
+    if step == 0:
+        raise InvalidParameterError(
+            f"--step must be a whole number of mm^2 other than 0, "
+            f"got {args.step:g}"
+        )
+    areas = list(range(int(args.start), int(args.stop) + 1, step))
 
     def column(label, integration, count, soc_for_one=False) -> list[float]:
         grid = engine.partition_grid(

@@ -1,6 +1,6 @@
 """Batched cost-evaluation engine.
 
-Three layers, documented in PERFORMANCE.md:
+The layers, documented in PERFORMANCE.md:
 
 * memoized die costs keyed on the hashable (area, node incl. defect
   density, wafer geometry, yield model) tuple — re-exported from
@@ -10,6 +10,10 @@ Three layers, documented in PERFORMANCE.md:
   (``evaluate_re`` / ``evaluate_many`` / ``partition_sweep`` /
   ``partition_grid``), which ``repro.explore``, the scenario runner
   and the CLI route through;
+* ``repro.engine.partition_columns`` — the equal-partition kernel:
+  chip areas, die costs and per-chip sums of ``n`` equal chiplets (or
+  the SoC reference) as columns over module areas, shared by
+  ``CostEngine.partition_grid`` and the design-space evaluator;
 * ``repro.engine.rng`` — vectorized ``random.Random.gauss`` /
   defect-prior streams via exact MT19937 state transplant,
   bit-identical to the per-call oracle;
@@ -36,7 +40,6 @@ __getattr__, __dir__, __all__ = name_table(__name__, {
     ),
     "repro.engine.fastmc": ("MonteCarloPlan", "sample_re_costs"),
     "repro.engine.rng": ("gauss_fill", "sample_prior", "sample_prior_array"),
-    "repro.engine.fastsweep": ("partition_re_cost", "soc_re_cost"),
     "repro.engine.fastportfolio": (
         "PortfolioCosts", "PortfolioDecomposition", "PortfolioEngine",
     ),

@@ -10,9 +10,11 @@ System` objects".  The engine gives that loop one home:
   100-point sweep prices each distinct die and package once;
 * :meth:`CostEngine.evaluate_re` / :meth:`CostEngine.evaluate_many`
   price built systems, and :meth:`CostEngine.partition_sweep` /
-  :meth:`CostEngine.partition_grid` price equal partitions in closed
-  form; these are the batch front-ends that ``repro.explore``, the
-  scenario runner and the CLI route through.  Design-space studies
+  :meth:`CostEngine.partition_grid` price equal partitions as columns
+  over the area axis on the kernel the design-space search uses
+  (``repro.engine.partition_columns``); these are the batch
+  front-ends that ``repro.explore``, the scenario runner and the CLI
+  route through.  Design-space studies
   run on ``repro.search`` and Monte-Carlo sampling lives in
   ``repro.engine.fastmc``.
 
@@ -175,7 +177,7 @@ class CostEngine:
         ]
 
     # ------------------------------------------------------------------
-    # closed-form partition studies
+    # equal-partition studies
     # ------------------------------------------------------------------
 
     def partition_sweep(
@@ -189,38 +191,22 @@ class CostEngine:
         soc_for_one: bool = True,
         die_cost_fn=None,
     ) -> Sweep:
-        """RE cost across partition granularities without building
-        systems (``repro.engine.fastsweep``); count 1 prices the
-        monolithic SoC reference unless ``soc_for_one`` is false.
-        ``die_cost_fn`` optionally replaces the engine's die pricing (custom yield models / wafer
-        geometries)."""
-        from repro.d2d.overhead import FractionOverhead
-        from repro.engine.fastsweep import partition_re_cost, soc_re_cost
-
+        """RE cost across partition granularities: the one-area
+        :meth:`partition_grid`, so count 1 prices the monolithic SoC
+        reference unless ``soc_for_one`` is false."""
         if not chiplet_counts:
             raise InvalidParameterError("sweep needs at least one value")
-        if not isinstance(d2d_fraction, FractionOverhead):
-            d2d_fraction = FractionOverhead(d2d_fraction)
-        price_die = die_cost_fn if die_cost_fn is not None else self._die_cost_for
-        points = tuple(
-            SweepPoint(
-                x=count,
-                value=(
-                    soc_re_cost(module_area, node, die_cost_fn=price_die)
-                    if soc_for_one and count == 1
-                    else partition_re_cost(
-                        module_area,
-                        node,
-                        count,
-                        integration,
-                        d2d_fraction,
-                        die_cost_fn=price_die,
-                    )
-                ),
-            )
-            for count in chiplet_counts
+        grid = self.partition_grid(
+            name, [module_area], chiplet_counts, node, integration,
+            d2d_fraction, soc_for_one, die_cost_fn,
         )
-        return Sweep(name=name, points=points)
+        return Sweep(
+            name=name,
+            points=tuple(
+                SweepPoint(x=point.col, value=point.value)
+                for point in grid.points
+            ),
+        )
 
     def partition_grid(
         self,
@@ -233,33 +219,67 @@ class CostEngine:
         soc_for_one: bool = False,
         die_cost_fn=None,
     ) -> GridResult:
-        """Closed-form areas x counts partition grid of RE costs."""
+        """Areas x counts grid of equal-partition RE costs, priced as
+        columns over the area axis without building systems
+        (``repro.engine.partition_columns``): one packaging
+        linearization per count.  Each cell equals
+        ``compute_re_cost(partition_monolith(...))`` bit for bit, chip
+        details included, or ``compute_re_cost(soc_reference(...))`` at
+        count 1 when ``soc_for_one``.  ``die_cost_fn`` optionally
+        replaces the default die pricing (custom yield models / wafer
+        geometries)."""
         from repro.d2d.overhead import FractionOverhead
-        from repro.engine.fastsweep import partition_re_cost, soc_re_cost
+        from repro.engine import partition_columns as kernel
+        from repro.explore.partition import partition_label, soc_label
+        from repro.packaging.soc import soc_package
 
         if not module_areas or not chiplet_counts:
             raise InvalidParameterError("grid needs at least one row and column")
         if not isinstance(d2d_fraction, FractionOverhead):
             d2d_fraction = FractionOverhead(d2d_fraction)
-        price_die = die_cost_fn if die_cost_fn is not None else self._die_cost_for
-        points = tuple(
-            GridPoint(
-                row=area,
-                col=count,
-                value=(
-                    soc_re_cost(area, node, die_cost_fn=price_die)
-                    if soc_for_one and count == 1
-                    else partition_re_cost(
-                        area,
-                        node,
-                        count,
-                        integration,
-                        d2d_fraction,
-                        die_cost_fn=price_die,
+        for area in module_areas:
+            if area <= 0:
+                raise InvalidParameterError(
+                    f"module_area must be > 0, got {area}"
+                )
+        areas = [float(area) for area in module_areas]
+        columns: dict[int, list[RECost]] = {}
+        for count in chiplet_counts:
+            if count < 1:
+                raise InvalidParameterError(
+                    f"n_chiplets must be >= 1, got {count}"
+                )
+            if soc_for_one and count == 1:
+                packager = soc_package()
+                chip_areas = kernel.soc_areas(areas)
+                names = [
+                    (f"{soc_label(area, node)}-die",) for area in module_areas
+                ]
+            else:
+                if not integration.supports_chip_count(count):
+                    raise InvalidParameterError(
+                        f"{integration.label} cannot hold {count} chips"
                     )
-                ),
+                packager = integration
+                _share, chip_areas = kernel.split_areas(
+                    areas, count, d2d_fraction.fraction
+                )
+                names = [
+                    tuple(f"{label}-chiplet{index}" for index in range(count))
+                    for label in (
+                        partition_label(area, node, count, integration)
+                        for area in module_areas
+                    )
+                ]
+            columns[count] = kernel.re_costs(
+                count,
+                kernel.die_columns(node, chip_areas, die_cost_fn),
+                linearize_packaging(packager, chip_areas, count),
+                names,
             )
-            for area in module_areas
+        points = tuple(
+            GridPoint(row=area, col=count, value=columns[count][index])
+            for index, area in enumerate(module_areas)
             for count in chiplet_counts
         )
         return GridResult(

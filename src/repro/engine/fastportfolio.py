@@ -54,11 +54,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.canon import fold_sum
 from repro.core.breakdown import NRECost, RECost, TotalCost
 from repro.engine.costengine import CostEngine, default_engine
 from repro.errors import InvalidParameterError
 from repro.reuse.keys import package_design_key
-from repro.reuse.portfolio import Portfolio, _DesignUnit, _fold
+from repro.reuse.portfolio import Portfolio, _DesignUnit
 
 try:  # numpy accelerates multi-scale solves; the model never requires it
     import numpy as _np
@@ -338,11 +339,11 @@ class PortfolioDecomposition:
             _shares if _shares is not None else self._share_maps(volume_scale)
         )
         keys = self.keys[index]
-        # _fold, not builtin sum: pinned to the vector path's gathered
+        # fold_sum, not builtin sum: pinned to the vector path's gathered
         # adds (and the oracle's folds) across Python versions.
-        modules = _fold(module_shares[key] for key in keys.modules)
-        chips = _fold(chip_shares[key] for key in keys.chips)
-        d2d = _fold(d2d_shares[key] for key in keys.d2d)
+        modules = fold_sum(module_shares[key] for key in keys.modules)
+        chips = fold_sum(chip_shares[key] for key in keys.chips)
+        d2d = fold_sum(d2d_shares[key] for key in keys.d2d)
 
         package_key = self.package_keys[index]
         if package_key is not None:
@@ -382,8 +383,8 @@ class PortfolioDecomposition:
             for index in range(len(self.portfolio.systems))
         )
         # Same fold as Portfolio.average_cost over scaled quantities.
-        spend = _fold(cost.total * cost.quantity for cost in costs)
-        total_quantity = _fold(cost.quantity for cost in costs)
+        spend = fold_sum(cost.total * cost.quantity for cost in costs)
+        total_quantity = fold_sum(cost.quantity for cost in costs)
         return PortfolioCosts(
             portfolio=self.portfolio,
             volume_scale=volume_scale,

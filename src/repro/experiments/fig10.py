@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.canon import fold_sum
 from repro.core.re_cost import compute_re_cost
 from repro.experiments.common import PAPER_D2D_FRACTION
 from repro.packaging.interposer import interposer_25d
@@ -140,7 +141,7 @@ def run_fig10(
 
         if reference is None:
             total_quantity = mcm_study.soc.total_quantity
-            reference = sum(
+            reference = fold_sum(
                 compute_re_cost(system).total * system.quantity
                 for system in mcm_study.soc.systems
             ) / total_quantity

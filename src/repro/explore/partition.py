@@ -3,9 +3,11 @@
 ``partition_monolith`` splits a module area into ``n`` equal chiplets,
 each carrying its own D2D interface; no reuse is assumed (every chiplet
 is a distinct design), matching the paper's Figure 4 setting.
-Ranges of granularities are priced in closed form, without building
-these systems, by ``CostEngine.partition_sweep``/``partition_grid``;
-the built systems here are their bit-parity oracle.
+Ranges of areas and granularities are priced as columns, without
+building these systems, by ``CostEngine.partition_sweep`` /
+``partition_grid`` on the equal-partition kernel
+(``repro.engine.partition_columns``) that the design-space search
+shares; the built systems here are their bit-parity oracle.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from repro.process.node import ProcessNode
 
 def soc_label(module_area: float, node: ProcessNode) -> str:
     """Default system name of the monolithic SoC reference (shared with
-    the closed-form evaluator in ``repro.engine.fastsweep``, whose
-    bit-parity contract includes the chip names)."""
+    ``CostEngine.partition_grid``, whose bit-parity contract includes
+    the chip names)."""
     return f"soc-{module_area:.0f}mm2-{node.name}"
 
 
@@ -34,7 +36,7 @@ def partition_label(
     integration: IntegrationTech,
 ) -> str:
     """Default system name of an equal ``n_chiplets``-way partition
-    (shared with ``repro.engine.fastsweep`` — see :func:`soc_label`)."""
+    (shared with ``CostEngine.partition_grid`` — see :func:`soc_label`)."""
     return (
         f"{integration.name}-{n_chiplets}x{module_area / n_chiplets:.0f}mm2-"
         f"{node.name}"

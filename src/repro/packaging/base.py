@@ -141,14 +141,15 @@ class PackagingColumns:
     a list of floats otherwise.
 
     Attributes:
-        fixed: ``PackagingAffine.fixed_total`` (raw package plus
-            package defects), USD.
+        raw_package: ``PackagingAffine.raw_package``, USD.
+        package_defects: ``PackagingAffine.package_defects``, USD.
         wasted_slope: ``PackagingAffine.wasted_slope``, expected retries.
         footprint: ``package_area``, mm^2.
         nre: ``package_nre``, USD.
     """
 
-    fixed: Sequence[float]
+    raw_package: Sequence[float]
+    package_defects: Sequence[float]
     wasted_slope: Sequence[float]
     footprint: Sequence[float]
     nre: Sequence[float]
@@ -234,20 +235,22 @@ class IntegrationTech(ABC):
             chips = (areas,) * n_chips
             affine = self.packaging_affine(chips)
             return PackagingColumns(
-                fixed=affine.fixed_total,
+                raw_package=full(affine.raw_package, areas),
+                package_defects=full(affine.package_defects, areas),
                 wasted_slope=full(affine.wasted_slope, areas),
                 footprint=self.package_area(chips),
                 nre=self.package_nre(chips),
             )
-        fixed, slopes, footprint, nre = [], [], [], []
+        raw, defects, slopes, footprint, nre = [], [], [], [], []
         for area in areas:
             chips = (area,) * n_chips
             affine = self.packaging_affine(chips)
-            fixed.append(affine.fixed_total)
+            raw.append(affine.raw_package)
+            defects.append(affine.package_defects)
             slopes.append(affine.wasted_slope)
             footprint.append(self.package_area(chips))
             nre.append(self.package_nre(chips))
-        return PackagingColumns(fixed, slopes, footprint, nre)
+        return PackagingColumns(raw, defects, slopes, footprint, nre)
 
     @property
     def max_chips(self) -> int | None:

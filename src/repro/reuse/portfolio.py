@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
+from repro.canon import fold_sum
 from repro.core.breakdown import NRECost, TotalCost
 from repro.core.nre_cost import chip_design_nre
 from repro.core.re_cost import compute_re_cost
@@ -178,7 +179,7 @@ class Portfolio:
 
     @property
     def total_quantity(self) -> float:
-        return _fold(system.quantity for system in self.systems)
+        return fold_sum(system.quantity for system in self.systems)
 
     def total_nre(self) -> NRECost:
         """One-time cost of the whole portfolio, each design paid once."""
@@ -243,15 +244,15 @@ class Portfolio:
         self._require_member(system)
         keys = self.system_design_keys(system)
 
-        modules = _fold(
+        modules = fold_sum(
             self._module_units[key].nre / self._module_units[key].total_units
             for key in keys.modules
         )
-        chips = _fold(
+        chips = fold_sum(
             self._chip_units[key].nre / self._chip_units[key].total_units
             for key in keys.chips
         )
-        d2d = _fold(
+        d2d = fold_sum(
             self._d2d_units[key].nre / self._d2d_units[key].total_units
             for key in keys.d2d
         )
@@ -276,7 +277,7 @@ class Portfolio:
 
     def average_cost(self) -> float:
         """Quantity-weighted average per-unit total cost of the portfolio."""
-        spend = _fold(
+        spend = fold_sum(
             self.amortized_cost(system).total * system.quantity
             for system in self.systems
         )
@@ -292,23 +293,6 @@ class Portfolio:
         return f"Portfolio({len(self.systems)} systems, {self.total_quantity:g} units)"
 
 
-def _fold(values: Iterable[float]) -> float:
-    """Plain left-to-right float fold from 0.0.
-
-    Every accumulation on the amortization path uses this instead of
-    builtin ``sum`` (Neumaier-compensated for floats since Python 3.12)
-    because the vectorized engine replicates the naive fold with
-    elementwise adds and sequential ``np.add.accumulate``
-    (:mod:`repro.engine.fastportfolio`); pinning the fold keeps
-    oracle, scalar engine and vector engine bit-identical on every
-    Python version.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def _design_unit(nre: float, quantities: list[float]) -> _DesignUnit:
     """Fold a design's contributing quantities into a unit.
 
@@ -316,7 +300,7 @@ def _design_unit(nre: float, quantities: list[float]) -> _DesignUnit:
     ``totals[key] = totals.get(key, 0.0) + system.quantity``
     accumulation bit-for-bit.
     """
-    total = _fold(quantities)
+    total = fold_sum(quantities)
     return _DesignUnit(
         nre=nre, total_units=total, quantities=tuple(quantities)
     )

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.canon import fold_sum
 from repro.config import ConfigRegistries, build_registries, portfolio_from_dict
 from repro.core.system import System
 from repro.engine.costengine import CostEngine, default_engine
@@ -729,7 +730,7 @@ def _run_reuse(
     # Fig. 10: quantity-weighted average SoC RE).
     if study.scheme == "fsmc":
         soc_costs = costs["SoC"]
-        reference = sum(
+        reference = fold_sum(
             cost.re.total * system.quantity
             for system, cost in zip(built.soc.systems, soc_costs.costs)
         ) / built.soc.total_quantity

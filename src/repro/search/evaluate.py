@@ -6,14 +6,13 @@ with results bit-identical to the naive per-candidate pipeline
 (``repro.search.oracle``).  The replicated arithmetic and its exactness
 arguments:
 
-* **Chip area** — equal share plus fractional D2D overhead, the exact
-  expressions of ``partition_monolith`` / ``FractionOverhead``.
-* **Die cost** — the closed form of ``repro.wafer.die.die_cost`` under
-  the paper's default geometry/yield model
-  (:func:`repro.wafer.diecolumns.die_cost_columns`: correctly rounded
-  numpy ops, libm ``pow`` per element).  A registry die-cost override
-  (named yield model / wafer geometry) is priced through the override
-  callable per unique die instead — same calls the oracle makes.
+* **Chip area, die cost, per-chip sums** — the equal-partition kernel
+  :mod:`repro.engine.partition_columns` (shared with
+  ``CostEngine.partition_grid``): the exact area expressions of
+  ``partition_monolith`` / ``FractionOverhead``, the closed-form die
+  cost of the paper's default geometry/yield model (correctly rounded
+  numpy ops, libm ``pow`` per element) or a registry die-cost override
+  priced per unique die, and ``n`` repeated additions from zero.
 * **Packaging** — one
   :func:`~repro.engine.packaging_affine.linearize_packaging` call per
   (technology, count) and block returns the technology's packaging
@@ -22,10 +21,8 @@ arguments:
   the one-system call), shared across the node axis; the KGD waste
   column is the same ``kgd * retries`` multiply the technology's own
   itemized cost makes.
-* **Accumulation order** — per-chip sums replicate the
-  ``compute_re_cost`` / ``compute_system_nre`` loops exactly (n
-  repeated additions from zero; ``x * 1 == x``), and every composite
-  total keeps the dataclass properties' association, e.g.
+* **Accumulation order** — every composite total keeps the dataclass
+  properties' association, e.g.
   ``(raw + defects) + ((raw_pkg + pkg_defects) + wasted)``.
 * **Test cost** — mirrors ``compute_tested_re_cost``: always priced on
   the *default* die model (that function takes no override), KGD-grade
@@ -40,18 +37,21 @@ oracle across schemes, technologies, nodes, overrides and the scalar
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from repro.canon import fold_sum
 from repro.config import ConfigRegistries
 from repro.engine.packaging_affine import linearize_packaging
+from repro.engine.partition_columns import (
+    DieCostFn,
+    accumulate,
+    die_columns,
+    soc_areas,
+    split_areas,
+)
 from repro.errors import ConfigError, InvalidParameterError, RegistryError
 from repro.packaging.base import PackagingColumns
 from repro.packaging.soc import soc_package
-from repro.process.node import ProcessNode
 from repro.search.space import CandidateGroup, DesignSpace
-from repro.wafer.die import DieCost
-from repro.wafer.diecolumns import DieColumns, die_cost_columns
 
 try:  # evaluation vectorizes with numpy; falls back to pure Python
     import numpy as _np
@@ -61,9 +61,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 #: Candidates per evaluation block along the module-area axis; bounds
 #: peak memory, and results are independent of it.
 BATCH_SIZE = 4096
-
-#: (node, area) -> DieCost pricing override (registry-resolved).
-DieCostFn = Callable[[ProcessNode, float], DieCost]
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ class SpaceEvaluator:
             if space.include_soc:
                 packs = {
                     "": linearize_packaging(
-                        self._soc_tech, _soc_chip_areas(chunk), 1
+                        self._soc_tech, soc_areas(chunk), 1
                     )
                 }
                 for node_name in space.nodes:
@@ -152,7 +149,7 @@ class SpaceEvaluator:
                     )
             for count in space.chiplet_counts:
                 for fraction in space.d2d_fractions:
-                    share, chip_areas = _chip_areas(chunk, count, fraction)
+                    share, chip_areas = split_areas(chunk, count, fraction)
                     packs = {
                         name: linearize_packaging(
                             technology, chip_areas, count
@@ -188,25 +185,19 @@ class SpaceEvaluator:
         space = self.space
         node = self.nodes[node_name]
         if soc:
-            chip_areas = _soc_chip_areas(module_areas)
+            chip_areas = soc_areas(module_areas)
             share = chip_areas
         chiplet = not soc and fraction > 0.0
-        if self.die_cost_fn is None:
-            die = die_cost_columns(node, chip_areas)
-            die_default = die
-        else:
-            die = _die_columns_override(node, chip_areas, self.die_cost_fn)
-            die_default = (
-                die_cost_columns(node, chip_areas)
-                if self.test_model is not None
-                else None
-            )
-        raw_chips, chip_defects, kgd, silicon = _accumulate(
+        die = die_columns(node, chip_areas, self.die_cost_fn)
+        die_default = die
+        if self.die_cost_fn is not None and self.test_model is not None:
+            die_default = die_columns(node, chip_areas)
+        raw_chips, chip_defects, kgd, silicon = accumulate(
             count, die.raw, die.defect, die.total, chip_areas
         )
         module_unit = _scale(share, node.km_per_mm2)
         chip_unit = _axpb(chip_areas, node.kc_per_mm2, node.fixed_chip_nre)
-        modules_nre, chips_nre = _accumulate(count, module_unit, chip_unit)
+        modules_nre, chips_nre = accumulate(count, module_unit, chip_unit)
         d2d_total = node.d2d_interface_nre if chiplet else 0
         factor = 1.0 / space.quantity
         d2d_amortized = d2d_total * factor
@@ -219,8 +210,9 @@ class SpaceEvaluator:
 
         chips_total = _add(raw_chips, chip_defects)
         for name, pack in packs.items():
+            fixed = _add(pack.raw_package, pack.package_defects)
             re_total = _add(
-                chips_total, _add(pack.fixed, _mul(kgd, pack.wasted_slope))
+                chips_total, _add(fixed, _mul(kgd, pack.wasted_slope))
             )
             nre_unit = _shift(
                 _add(
@@ -266,76 +258,17 @@ class SpaceEvaluator:
             seconds = _scale(seconds, model.kgd_multiplier)
         sort_unit = _scale(seconds, per_second)
         per_good = _div(sort_unit, die_default.die_yield)
-        (sort_total,) = _accumulate(count, per_good)
-        raw_default, defect_default, kgd_default, _unused = _accumulate(
-            count, die_default.raw, die_default.defect, die_default.total,
-            chip_areas,
+        (sort_total,) = accumulate(count, per_good)
+        raw_default, defect_default, kgd_default = accumulate(
+            count, die_default.raw, die_default.defect, die_default.total
         )
         chips_total_default = _add(raw_default, defect_default)
         return sort_total, chips_total_default, kgd_default
 
 
 # ----------------------------------------------------------------------
-# per-area column builders
-# ----------------------------------------------------------------------
-
-
-def _die_columns_override(
-    node: ProcessNode, chip_areas, die_cost_fn: DieCostFn
-) -> DieColumns:
-    """Per-unique-die pricing through a registry override callable."""
-    costs = [die_cost_fn(node, float(area)) for area in chip_areas]
-    columns = DieColumns(
-        [cost.raw for cost in costs],
-        [cost.defect for cost in costs],
-        [cost.total for cost in costs],
-        [cost.die_yield for cost in costs],
-    )
-    if _np is None:
-        return columns
-    return DieColumns(*(
-        _np.asarray(column, dtype=float)
-        for column in (columns.raw, columns.defect, columns.total,
-                       columns.die_yield)
-    ))
-
-
-# ----------------------------------------------------------------------
 # elementwise primitives (numpy arrays or plain lists, same arithmetic)
 # ----------------------------------------------------------------------
-
-
-def _chip_areas(module_areas: list, count: int, fraction: float):
-    """Equal-share chiplet areas with fractional D2D overhead —
-    ``share = area / n``; ``chip = share + share * f / (1 - f)``."""
-    if _np is not None:
-        table = _np.asarray(module_areas, dtype=float)
-        share = table / count
-        return share, share + (share * fraction) / (1.0 - fraction)
-    share = [area / count for area in module_areas]
-    return share, [
-        part + (part * fraction) / (1.0 - fraction) for part in share
-    ]
-
-
-def _soc_chip_areas(module_areas: list):
-    """SoC die areas: the module area plus a zero D2D term
-    (``NO_OVERHEAD`` yields ``area + 0.0 == area`` exactly)."""
-    if _np is not None:
-        return _np.asarray(module_areas, dtype=float)
-    return list(module_areas)
-
-
-def _accumulate(count: int, *columns):
-    """``count`` repeated additions of each column from zero — the
-    per-unique-chip accumulation loops of ``compute_re_cost`` /
-    ``compute_system_nre`` (count instances of x accumulate as n
-    additions, and ``x * 1 == x`` exactly)."""
-    if _np is not None:
-        return [fold_sum((column,) * count) for column in columns]
-    return [
-        [fold_sum((item,) * count) for item in column] for column in columns
-    ]
 
 
 def _add(left, right):

@@ -1,7 +1,8 @@
 """Fast == oracle parity on arbitrary generated inputs.
 
-Every accelerated path — ``fastmc``, ``fastsweep``, ``fastportfolio``,
-the ``SpaceEvaluator`` and the ``rng`` stream — carries a bit-parity
+Every accelerated path — ``fastmc``, the equal-partition kernel
+behind ``CostEngine.partition_grid``, ``fastportfolio``, the
+``SpaceEvaluator`` and the ``rng`` stream — carries a bit-parity
 contract against its naive oracle (PERFORMANCE.md).  The unit suites
 hold them equal on the seven paper figures; these properties hold them
 equal on *generated* systems, portfolios and spaces, and hold the
@@ -16,11 +17,10 @@ from hypothesis import strategies as st
 
 from checks import assert_bit_equal, assert_sequences_equal
 from repro.core.re_cost import compute_re_cost
-from repro.engine import fastmc, fastportfolio
+from repro.engine import fastmc, fastportfolio, partition_columns
 from repro.engine.costengine import CostEngine
 from repro.engine.fastmc import sample_re_costs
 from repro.engine.fastportfolio import PortfolioEngine
-from repro.engine.fastsweep import partition_re_cost, soc_re_cost
 from repro.engine.rng import sample_prior
 from repro.explore.montecarlo import monte_carlo_cost_naive
 from repro.explore.partition import partition_monolith, soc_reference
@@ -71,34 +71,52 @@ def test_fastmc_scalar_fallback_matches_numpy(system, draws, seed):
     )
 
 
-@given(area=module_areas, node=catalog_node_names,
-       count=st.integers(min_value=2, max_value=4),
+@given(areas=st.lists(module_areas, min_size=1, max_size=4),
+       node=catalog_node_names,
+       counts=st.lists(st.integers(min_value=1, max_value=4),
+                       min_size=1, max_size=3),
        technology=technology_names,
-       d2d=st.floats(min_value=0.0, max_value=0.3))
-def test_fastsweep_partition_matches_oracle(area, node, count, technology, d2d):
+       d2d=st.floats(min_value=0.0, max_value=0.3),
+       scalar=st.booleans())
+def test_partition_grid_matches_oracle(areas, node, counts, technology, d2d,
+                                       scalar):
     node = get_node(node)
     tech = TECHNOLOGIES[technology]()
-    fast = partition_re_cost(area, node, count, tech, d2d_fraction=d2d)
-    oracle = compute_re_cost(
-        partition_monolith(area, node, count, tech, d2d_fraction=d2d)
-    )
-    for component in _RE_COMPONENTS:
-        assert_bit_equal(
-            "fastsweep.partition_re_cost", component,
-            getattr(fast, component), getattr(oracle, component),
+    with mock.patch.object(
+        partition_columns, "_np", None if scalar else partition_columns._np
+    ):
+        grid = CostEngine().partition_grid(
+            "g", areas, counts, node, tech, d2d_fraction=d2d
         )
+    for point in grid.points:
+        oracle = compute_re_cost(partition_monolith(
+            point.row, node, point.col, tech, d2d_fraction=d2d
+        ))
+        for component in _RE_COMPONENTS:
+            assert_bit_equal(
+                "CostEngine.partition_grid", component,
+                getattr(point.value, component), getattr(oracle, component),
+            )
+        assert point.value.chip_details == oracle.chip_details
 
 
-@given(area=module_areas, node=catalog_node_names)
-def test_fastsweep_soc_matches_oracle(area, node):
+@given(area=module_areas, node=catalog_node_names, scalar=st.booleans())
+def test_partition_sweep_soc_matches_oracle(area, node, scalar):
     node = get_node(node)
-    fast = soc_re_cost(area, node)
+    with mock.patch.object(
+        partition_columns, "_np", None if scalar else partition_columns._np
+    ):
+        sweep = CostEngine().partition_sweep(
+            "s", area, node, [1], TECHNOLOGIES["mcm"]()
+        )
+    fast = sweep.points[0].value
     oracle = compute_re_cost(soc_reference(area, node))
     for component in _RE_COMPONENTS:
         assert_bit_equal(
-            "fastsweep.soc_re_cost", component,
+            "CostEngine.partition_sweep", component,
             getattr(fast, component), getattr(oracle, component),
         )
+    assert fast.chip_details == oracle.chip_details
 
 
 @given(system=systems())

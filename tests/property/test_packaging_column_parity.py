@@ -19,7 +19,9 @@ from repro.errors import ChipletActuaryError, InvalidParameterError
 from repro.wafer import diecolumns
 from strategies import BUILTIN_TECHNOLOGIES, inexact_areas
 
-_FIELDS = ("fixed", "wasted_slope", "footprint", "nre")
+_FIELDS = (
+    "raw_package", "package_defects", "wasted_slope", "footprint", "nre",
+)
 
 TECHNOLOGY_KEYS = tuple(sorted(BUILTIN_TECHNOLOGIES))
 #: The technologies whose carrier (RDL or interposer) is priced as a die.
@@ -47,7 +49,8 @@ def _assert_rows(key, technology, n_chips, areas, columns):
     for area in areas:
         chips = (area,) * n_chips
         affine = technology.packaging_affine(chips)
-        expected["fixed"].append(affine.fixed_total)
+        expected["raw_package"].append(affine.raw_package)
+        expected["package_defects"].append(affine.package_defects)
         expected["wasted_slope"].append(affine.wasted_slope)
         expected["footprint"].append(technology.package_area(chips))
         expected["nre"].append(technology.package_nre(chips))

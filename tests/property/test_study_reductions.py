@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from checks import assert_bit_equal
 from repro.config import ConfigRegistries
+from repro.engine import partition_columns
 from repro.explore import montecarlo
 from repro.explore.montecarlo import CostDistribution
 from repro.process.catalog import get_node
@@ -240,5 +241,6 @@ def test_search_selection_with_ties(space, batch_size):
 def test_search_selection_with_ties_without_numpy(space, batch_size):
     with mock.patch.object(frontier_module, "_np", None), \
             mock.patch.object(evaluate_module, "_np", None), \
-            mock.patch.object(engine_module, "_np", None):
+            mock.patch.object(engine_module, "_np", None), \
+            mock.patch.object(partition_columns, "_np", None):
         _assert_selection(space, batch_size)

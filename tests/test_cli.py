@@ -323,3 +323,12 @@ def test_closed_stdout_exits_without_traceback():
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert "BrokenPipeError" not in result.stderr
+
+
+@pytest.mark.parametrize("step", ["0", "0.5", "-0.9"])
+def test_sweep_step_truncating_to_zero_is_clean_error(capsys, step):
+    code, out, err = run_cli(capsys, "sweep", "--step", step)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --step must be a whole number")
+    assert "Traceback" not in err

@@ -31,9 +31,7 @@ from repro.engine import (
     die_cost_cache_info,
     linearize_packaging,
     no_cache,
-    partition_re_cost,
     sample_re_costs,
-    soc_re_cost,
 )
 from repro.errors import InvalidParameterError
 from repro.explore.montecarlo import (
@@ -46,6 +44,7 @@ from repro.explore.sensitivity import system_tornado
 from repro.packaging.info import info
 from repro.packaging.interposer import interposer_25d
 from repro.packaging.mcm import mcm
+from repro.packaging.soc import soc_package
 from repro.packaging.stacked3d import stacked_3d
 from repro.process.catalog import get_node
 from repro.wafer.die import DieSpec, die_cost
@@ -230,22 +229,32 @@ class TestFastMonteCarlo:
 class TestFastPartitionSweep:
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
     def test_partition_re_cost_matches_built_system(self, count, n7):
+        """Every grid cell, chip details included, equals pricing the
+        built partition."""
+        areas = [750.0, 333.3, 97.5]
         for tech in (mcm(), info(), interposer_25d()):
-            built = compute_re_cost(partition_monolith(750.0, n7, count, tech))
-            closed = partition_re_cost(750.0, n7, count, tech)
-            _assert_re_equal(closed, built)
+            grid = CostEngine().partition_grid("g", areas, [count], n7, tech)
+            for area in areas:
+                built = compute_re_cost(
+                    partition_monolith(area, n7, count, tech)
+                )
+                _assert_re_equal(grid.value(area, count), built)
 
     def test_soc_re_cost_matches_built_system(self, n5):
         built = compute_re_cost(soc_reference(420.0, n5))
-        _assert_re_equal(soc_re_cost(420.0, n5), built)
+        sweep = CostEngine().partition_sweep("s", 420.0, n5, [1], mcm())
+        _assert_re_equal(sweep.points[0].value, built)
 
     def test_partition_re_cost_validation(self, n7):
+        engine = CostEngine()
         with pytest.raises(InvalidParameterError):
-            partition_re_cost(750.0, n7, 0, mcm())
+            engine.partition_grid("g", [750.0], [0], n7, mcm())
         with pytest.raises(InvalidParameterError):
-            partition_re_cost(-1.0, n7, 2, mcm())
+            engine.partition_grid("g", [300.0, -1.0], [2], n7, mcm())
         with pytest.raises(InvalidParameterError):
-            soc_re_cost(0.0, n7)
+            engine.partition_sweep("s", 0.0, n7, [1], mcm())
+        with pytest.raises(InvalidParameterError, match="cannot hold"):
+            engine.partition_grid("g", [750.0], [2], n7, soc_package())
 
     def test_partition_sweep_rejects_nonpositive_counts(self, n5):
         """Counts < 1 must raise like partition_monolith, not silently

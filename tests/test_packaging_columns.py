@@ -107,7 +107,8 @@ def test_linearize_packaging_column_form():
     assert isinstance(columns, PackagingColumns)
     for index, area in enumerate(areas):
         affine = linearize_packaging(tech, (area,) * 3)
-        assert columns.fixed[index] == affine.fixed_total
+        assert columns.raw_package[index] == affine.raw_package
+        assert columns.package_defects[index] == affine.package_defects
         assert columns.wasted_slope[index] == affine.wasted_slope
         assert columns.footprint[index] == tech.package_area((area,) * 3)
         assert columns.nre[index] == tech.package_nre((area,) * 3)
@@ -141,7 +142,8 @@ def test_float_only_technology_is_priced_row_by_row():
     columns = _FlatTech().packaging_columns(
         diecolumns._np.asarray([10.5, 20.25]), 2
     )
-    assert list(columns.fixed) == [21.5, 41.0]
+    assert list(columns.raw_package) == [21.0, 40.5]
+    assert list(columns.package_defects) == [0.5, 0.5]
     assert list(columns.wasted_slope) == [0.5, 0.5]
     assert list(columns.footprint) == [21.0, 40.5]
     assert list(columns.nre) == [210.0, 405.0]

@@ -74,6 +74,35 @@ def test_cold_cost_command_skips_the_batch_layers():
     assert not [m for m in loaded if m.startswith(skipped)]
 
 
+def test_served_cost_request_skips_numpy_and_the_column_kernels():
+    """A warm service answering one ``POST /v1/cost`` prices through
+    the per-system engine: it loads neither numpy nor the column
+    kernels of the partition and search paths."""
+    script = "\n".join((
+        "import json, sys, urllib.request",
+        "from repro.service.app import ServerThread",
+        "body = {'area': 800, 'node': '5nm', 'integration': 'mcm',",
+        "        'chiplets': 2}",
+        "with ServerThread() as url:",
+        "    request = urllib.request.Request(",
+        "        url + '/v1/cost', data=json.dumps(body).encode())",
+        "    with urllib.request.urlopen(request, timeout=30) as response:",
+        "        assert response.status == 200",
+        "        assert json.load(response)['result']",
+        "print(' '.join(sys.modules))",
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    loaded = set(proc.stdout.split())
+    assert "repro.service.app" in loaded
+    assert "numpy" not in loaded
+    assert "repro.wafer.diecolumns" not in loaded
+    assert "repro.engine.partition_columns" not in loaded
+
+
 def test_version():
     assert repro.__version__ == "1.0.0"
 

@@ -177,7 +177,8 @@ class TestScenarioConsumption:
         assert custom.points[0].value.total != default.points[0].value.total
 
     def test_matches_direct_die_costing(self):
-        from repro.engine.fastsweep import partition_re_cost
+        from repro.core.re_cost import compute_re_cost
+        from repro.explore.partition import partition_monolith
         from repro.scenario import run_scenario
         from repro.wafer.die import DieSpec, die_cost
         from repro.yieldmodel.models import GrossYield, PoissonYield
@@ -197,8 +198,8 @@ class TestScenarioConsumption:
 
         from repro.packaging.mcm import mcm
 
-        expected = partition_re_cost(
-            400.0, node, 2, mcm(), die_cost_fn=die_cost_fn
+        expected = compute_re_cost(
+            partition_monolith(400.0, node, 2, mcm()), die_cost_fn=die_cost_fn
         )
         assert custom.points[0].value.total == expected.total
 

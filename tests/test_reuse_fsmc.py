@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.canon import fold_sum
 from repro.errors import InvalidParameterError
 from repro.packaging.mcm import mcm
 from repro.reuse.fsmc import (
@@ -115,3 +116,81 @@ class TestEconomics:
         assert (
             study.multichip.average_cost() < study.soc.average_cost()
         )
+
+
+def _compensated_sum(values):
+    """Builtin ``sum()`` over floats as Python 3.12+ computes it
+    (Neumaier), written out so the test can tell it from the fold on
+    any interpreter."""
+    total = 0.0
+    compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+class TestAverageSoCNormalizer:
+    """The quantity-weighted average SoC RE that normalizes FSMC studies
+    is a left fold in both places it is computed.  The 100 mm^2, (2, 2)
+    situation is chosen so that the fold and a compensated sum of the
+    weighted REs differ in the last bit: builtin ``sum()`` on Python
+    3.12+ would fail these tests."""
+
+    AREA = 100.0
+
+    @staticmethod
+    def _expected(systems, re_totals, total_quantity):
+        terms = [
+            re_total * system.quantity
+            for system, re_total in zip(systems, re_totals)
+        ]
+        folded = fold_sum(terms) / total_quantity
+        assert folded != _compensated_sum(terms) / total_quantity
+        return folded
+
+    def test_reuse_study_reference_is_the_fold(self):
+        from repro.scenario import run_scenario
+
+        data = run_scenario({
+            "scenario": "fsmc-fold",
+            "studies": [{
+                "kind": "reuse", "name": "fsmc", "scheme": "fsmc",
+                "technology": "mcm",
+                "params": {"n_chiplets": 2, "k_sockets": 2,
+                           "module_area": self.AREA, "node": "7nm"},
+            }],
+        }).result("fsmc").data
+        soc = data["study"].soc
+        expected = self._expected(
+            soc.systems,
+            [cost.re.total for cost in data["costs"]["SoC"].costs],
+            soc.total_quantity,
+        )
+        assert data["reference"] == expected
+
+    def test_fig10_reference_is_the_fold(self):
+        from repro.core.re_cost import compute_re_cost
+        from repro.experiments.common import PAPER_D2D_FRACTION
+        from repro.experiments.fig10 import run_fig10
+        from repro.process.catalog import get_node
+
+        result = run_fig10(((2, 2),), module_area=self.AREA)
+        soc = build_fsmc(
+            FSMCConfig(n_chiplets=2, k_sockets=2, module_area=self.AREA,
+                       node=get_node("7nm"), quantity=500_000.0,
+                       d2d_fraction=PAPER_D2D_FRACTION),
+            mcm(),
+        ).soc
+        expected = self._expected(
+            soc.systems,
+            [compute_re_cost(system).total for system in soc.systems],
+            soc.total_quantity,
+        )
+        assert result.reference == expected

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import repro.engine.partition_columns as kernel_module
 import repro.search.engine as engine_module
 import repro.search.evaluate as evaluate_module
 import repro.search.frontier as frontier_module
@@ -173,7 +174,9 @@ class TestParityWithOracle:
     def test_scalar_fallback_matches_numpy(self, monkeypatch):
         space = _space()
         vectorized = run_search(space)
-        for module in (frontier_module, evaluate_module, engine_module):
+        for module in (
+            frontier_module, evaluate_module, engine_module, kernel_module
+        ):
             monkeypatch.setattr(module, "_np", None)
         _assert_same_result(run_search(space), vectorized)
 
