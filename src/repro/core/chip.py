@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
+from repro.canon import fold_sum
 from repro.d2d.overhead import NO_OVERHEAD, D2DOverhead
 from repro.errors import EmptySystemError
 from repro.core.module import Module
@@ -58,7 +59,7 @@ class Chip:
         (``cached_property`` writes through ``__dict__``, which frozen
         dataclasses allow).
         """
-        return sum(module.area_at(self.node) for module in self.modules)
+        return fold_sum(module.area_at(self.node) for module in self.modules)
 
     @property
     def d2d_area(self) -> float:

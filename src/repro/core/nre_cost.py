@@ -19,6 +19,7 @@ references it.
 
 from __future__ import annotations
 
+from repro.canon import fold_sum
 from repro.core.breakdown import NRECost
 from repro.core.chip import Chip
 from repro.core.system import System
@@ -27,7 +28,9 @@ from repro.core.system import System
 def module_nre(chip: Chip) -> float:
     """Km * Sm summed over the distinct modules of one chip."""
     km = chip.node.km_per_mm2
-    return sum(km * module.area_at(chip.node) for module in chip.unique_modules())
+    return fold_sum(
+        km * module.area_at(chip.node) for module in chip.unique_modules()
+    )
 
 
 def chip_design_nre(chip: Chip) -> float:
@@ -45,7 +48,7 @@ def package_nre(system: System) -> float:
 
 def d2d_nre(system: System) -> float:
     """D2D interface design cost, once per chiplet node (Eq. 8)."""
-    return sum(node.d2d_interface_nre for node in system.chiplet_nodes())
+    return fold_sum(node.d2d_interface_nre for node in system.chiplet_nodes())
 
 
 def compute_system_nre(system: System) -> NRECost:

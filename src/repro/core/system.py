@@ -16,6 +16,7 @@ from typing import Sequence
 from repro.core.chip import Chip
 from repro.core.module import Module
 from repro.core.package_design import PackageDesign
+from repro.canon import fold_sum
 from repro.d2d.overhead import NO_OVERHEAD, D2DOverhead
 from repro.errors import EmptySystemError, InvalidParameterError
 from repro.packaging.base import IntegrationTech
@@ -76,12 +77,12 @@ class System:
     @property
     def silicon_area(self) -> float:
         """Total die area in the package, mm^2."""
-        return sum(self.chip_areas)
+        return fold_sum(self.chip_areas)
 
     @property
     def module_area(self) -> float:
         """Total module (non-D2D) area, mm^2."""
-        return sum(chip.module_area for chip in self.chips)
+        return fold_sum(chip.module_area for chip in self.chips)
 
     @property
     def is_multichip(self) -> bool:

@@ -186,7 +186,7 @@ class MonteCarloPlan:
     def evaluate_batch(
         self,
         scale_rows: Sequence[Sequence[float]],
-    ) -> list[float]:
+    ) -> ColumnSamples:
         """Vectorized :meth:`evaluate` over many draws (needs numpy).
 
         ``scale_rows[d]`` holds draw ``d``'s per-node scales in
@@ -195,7 +195,8 @@ class MonteCarloPlan:
         vectorize over the draw axis in the same per-term order, and
         the yield's ``pow`` runs through Python's libm binding exactly
         like the scalar path (numpy's SIMD ``power`` can differ in the
-        last ulp).
+        last ulp).  The result is a list of plain floats that keeps
+        the float64 column it was read from (:class:`ColumnSamples`).
         """
         if _np is None:
             raise InvalidParameterError(
@@ -246,7 +247,24 @@ class MonteCarloPlan:
             chip_defects = chip_defects + defect * term.count
             kgd_total = kgd_total + total * term.count
         packaging_total = self.affine.total_with(kgd_total)
-        return ((raw_chips + chip_defects) + packaging_total).tolist()
+        return ColumnSamples((raw_chips + chip_defects) + packaging_total)
+
+
+class ColumnSamples(list):
+    """Draws as a list of plain floats that also keeps ``column``, the
+    float64 array they were read from.
+
+    :func:`repro.explore.montecarlo.monte_carlo_cost` hands that column
+    to its :class:`~repro.explore.montecarlo.CostDistribution`, so the
+    statistics run on the array the batch evaluator produced instead of
+    one rebuilt from the sample tuple.
+    """
+
+    __slots__ = ("column",)
+
+    def __init__(self, column):
+        super().__init__(column.tolist())
+        self.column = column
 
 
 def sample_re_costs(
@@ -266,7 +284,8 @@ def sample_re_costs(
     ``die_cost_fn`` carries registry-named yield-model /
     wafer-geometry overrides
     (:meth:`repro.config.ConfigRegistries.die_cost_fn`) into every
-    draw's die pricing.
+    draw's die pricing.  The batch evaluator's result is a
+    :class:`ColumnSamples`, which also keeps its float64 column.
     """
     if draws <= 0:
         raise InvalidParameterError(f"draws must be > 0, got {draws}")

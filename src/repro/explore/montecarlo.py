@@ -61,6 +61,21 @@ class CostDistribution:
 
     samples: tuple[float, ...]
 
+    @classmethod
+    def of(cls, samples) -> CostDistribution:
+        """The distribution of the float sequence ``samples``.
+
+        When ``samples`` keeps the float64 column it was read from (a
+        :class:`repro.engine.fastmc.ColumnSamples`), the statistics run
+        on that column instead of one rebuilt from the tuple.
+        """
+        distribution = cls(samples=tuple(samples))
+        column = getattr(samples, "column", None)
+        if column is not None:
+            # Where the cached property would store what it computes.
+            distribution.__dict__["_column"] = column
+        return distribution
+
     @cached_property
     def _column(self):
         return _np.fromiter(self.samples, _np.float64, len(self.samples))
@@ -84,10 +99,14 @@ class CostDistribution:
         if _np is None:
             squares = fold_sum((x - mu) ** 2 for x in self.samples)
         else:
-            # libm pow per element, as ``** 2`` (``d * d`` differs in
-            # the last bit for some d).
+            # libm pow(|d|, 2.0) per element, which is what ``d ** 2``
+            # calls (``d * d`` differs in the last bit for some d).
             squared = _np.fromiter(
-                map(pow, memoryview(self._column - mu), repeat(2)),
+                map(
+                    math.pow,
+                    memoryview(_np.abs(self._column - mu)),
+                    repeat(2.0),
+                ),
                 _np.float64,
                 n,
             )
@@ -191,14 +210,12 @@ def monte_carlo_cost(
     """
     from repro.engine.fastmc import sample_re_costs
 
-    return CostDistribution(
-        samples=tuple(
-            sample_re_costs(
-                system,
-                draws=draws,
-                sigma=sigma,
-                seed=seed,
-                die_cost_fn=die_cost_fn,
-            )
+    return CostDistribution.of(
+        sample_re_costs(
+            system,
+            draws=draws,
+            sigma=sigma,
+            seed=seed,
+            die_cost_fn=die_cost_fn,
         )
     )

@@ -1,34 +1,44 @@
 """run_search: the design-space optimizer.
 
 Streams every candidate of a :class:`~repro.search.space.DesignSpace`
-through the vectorized evaluator, pruning as it goes:
+through the vectorized evaluator, keeping only what can still be
+selected:
 
-* each block is first culled locally (a candidate dominated inside its
-  own block is dominated globally), then the survivors fold into a
-  streaming :class:`~repro.search.frontier.FrontierAccumulator`;
-* a running top-k list (by the ``total`` objective, ties broken by
-  candidate index) keeps the cost-optimal designs.
+* each block folds into a streaming
+  :class:`~repro.search.frontier.FrontierAccumulator`, which drops the
+  rows its running frontier dominates with one vectorized test and
+  merges only the survivors;
+* once ``top_k`` rows are held, only the block rows whose ``total`` is
+  ``<=`` the current k-th total are ranked (``<=`` keeps ties; the
+  final (total, index) order decides them, since blocks arrive with
+  the technology innermost, not in index order).
 
-Peak memory is the current block, the frontier and the at most
-``top_k`` blocks the running top-k points into — candidate objects are
-materialized only for block survivors and the final top-k, so
-million-candidate spaces stream at bounded memory.  The frontier is
-set-identical to filtering the full candidate list through
-``repro.explore.pareto.pareto_frontier`` (the naive oracle in
-:mod:`repro.search.oracle` does exactly that; parity is asserted in
-``tests/test_search_engine.py`` and ``benchmarks/bench_perf_engine.py``).
+Both selections hold ``(block, offset)`` references, and
+``SearchCandidate`` objects are built only for the final frontier and
+top-k.  Peak memory is the current block, the frontier and the blocks
+those references point into, so million-candidate spaces stream at
+bounded memory.  The frontier is set-identical to filtering the full
+candidate list through ``repro.explore.pareto.pareto_frontier`` (the
+naive oracle in :mod:`repro.search.oracle` does exactly that; parity
+is asserted in ``tests/test_search_engine.py`` and
+``benchmarks/bench_perf_engine.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 from typing import Sequence
 
 from repro.config import ConfigRegistries
 from repro.search.evaluate import DieCostFn, EvalBlock, SpaceEvaluator
-from repro.search.frontier import FrontierAccumulator, non_dominated_mask
+# non_dominated_mask is not called here: the accumulator runs it.  The
+# name stays importable from this module because the traced study in
+# perfbench/wl_study.py wraps it here.
+from repro.search.frontier import (  # noqa: F401
+    FrontierAccumulator,
+    non_dominated_mask,
+)
 from repro.search.space import DesignSpace
 
 try:  # numpy speeds up score stacking / top-k; never required
@@ -132,6 +142,12 @@ def run_search(
 ) -> SearchResult:
     """Explore ``space`` and return its Pareto frontier plus top-k.
 
+    Each evaluated block is checked against what the search already
+    holds: the accumulator drops the rows its running frontier
+    dominates, and once ``top_k`` rows are held only the rows whose
+    total is ``<=`` the current k-th total are ranked.  Candidates are
+    built for the final frontier and top-k only.
+
     Args:
         space: The design space to sweep.
         registries: Scoped registries resolving the space's node /
@@ -149,63 +165,85 @@ def run_search(
         context=context,
     )
     test_enabled = evaluator.test_model is not None
+    top_k = space.top_k
+    # Both selections hold (block, offset) references; only the rows
+    # they return become candidates.
     accumulator = FrontierAccumulator()
-    # The running top-k holds (total, index, block, offset); only the
-    # final k rows become candidates.
     best: list[tuple[float, int, EvalBlock, int]] = []
     seen = 0
     for block in evaluator.blocks():
         seen += len(block)
         columns = [block.metrics[name] for name in space.objectives]
         if _np is not None:
+            # Stacked objective-major, so each objective stays one
+            # contiguous column for the accumulator's dominance test.
             scores = _np.stack(
-                [_np.asarray(column, dtype=float) for column in columns],
-                axis=1,
-            )
+                [_np.asarray(column, dtype=float) for column in columns]
+            ).T
         else:
             scores = list(zip(*columns))
-        # Chunk-local cull: a candidate dominated inside its own block is
-        # dominated globally, so only local survivors are materialized
-        # (the accumulator re-checks them against the running frontier).
-        mask = non_dominated_mask(scores)
-        survivors = list(compress(range(len(mask)), mask))
-        accumulator.add(
-            [tuple(scores[offset]) for offset in survivors],
-            [
-                _materialize(block, offset, test_enabled)
-                for offset in survivors
-            ],
-        )
-        if space.top_k > 0:
+        accumulator.add(scores, _BlockRows(block))
+        if top_k > 0:
             totals = block.metrics["total"]
-            if _np is not None:
-                order = _np.argsort(
-                    _np.asarray(totals, dtype=float), kind="stable"
-                )[: space.top_k].tolist()
-            else:
-                order = sorted(
-                    range(len(block)),
-                    key=lambda offset: (totals[offset], offset),
-                )[: space.top_k]
-            best.extend(
-                (totals[offset], block.start + offset, block, offset)
-                for offset in order
-            )
-            best.sort(key=itemgetter(0, 1))
-            del best[space.top_k:]
-    frontier = tuple(
-        sorted(accumulator.members(), key=lambda candidate: candidate.index)
+            bound = best[-1][0] if len(best) == top_k else None
+            order = _lowest(totals, top_k, bound)
+            if order:
+                best.extend(
+                    (totals[offset], block.start + offset, block, offset)
+                    for offset in order
+                )
+                best.sort(key=itemgetter(0, 1))
+                del best[top_k:]
+    frontier = sorted(
+        accumulator.members(),
+        key=lambda row: row[0].start + row[1],
     )
     return SearchResult(
         space=space,
         n_candidates=seen,
         objectives=tuple(space.objectives),
-        frontier=frontier,
+        frontier=tuple(
+            _materialize(block, offset, test_enabled)
+            for block, offset in frontier
+        ),
         top=tuple(
             _materialize(block, offset, test_enabled)
             for _total, _index, block, offset in best
         ),
     )
+
+
+class _BlockRows:
+    """``(block, offset)`` for each row of ``block``, built only when
+    indexed: the accumulator reads the rows that survive its cull."""
+
+    __slots__ = ("block",)
+
+    def __init__(self, block: EvalBlock):
+        self.block = block
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, offset: int) -> tuple[EvalBlock, int]:
+        return self.block, offset
+
+
+def _lowest(totals: Sequence[float], k: int, bound) -> list[int]:
+    """Offsets of the ``k`` smallest ``totals`` in (total, offset)
+    order, among those ``<= bound`` when a bound is given."""
+    if _np is not None:
+        column = _np.asarray(totals, dtype=float)
+        if bound is None:
+            return _np.argsort(column, kind="stable")[:k].tolist()
+        rows = _np.flatnonzero(column <= bound)
+        if not len(rows):
+            return []
+        return rows[_np.argsort(column[rows], kind="stable")[:k]].tolist()
+    rows = range(len(totals))
+    if bound is not None:
+        rows = [offset for offset in rows if totals[offset] <= bound]
+    return sorted(rows, key=lambda offset: (totals[offset], offset))[:k]
 
 
 def candidate_rows(

@@ -21,11 +21,17 @@ This module implements the standard sort-based sweep:
   the running frontier sufficient: a dropped dominator always has a
   surviving dominator standing in for it).
 
-The block size bounds peak memory: the broadcast compare materializes
-``block x frontier`` booleans, never ``n x n``, so million-candidate
-spaces stream through in bounded slices.  Ties are preserved exactly
-like the pairwise oracle: duplicate objective vectors do not dominate
-each other, so *all* copies survive.
+The block size bounds peak memory: the dominance test compares the
+frontier ``block_size`` members at a time, so it materializes at most
+``block x block_size`` booleans per objective, never ``n x n``, and
+million-candidate spaces stream through in bounded slices.  Ties are
+preserved exactly like the pairwise oracle: duplicate objective
+vectors do not dominate each other, so *all* copies survive.
+
+:class:`FrontierAccumulator` streams blocks in any order.  It culls
+each block against its running frontier with the same dominance test,
+without sorting, and runs the mask only on the rows that survive,
+merged with the frontier.
 
 Without numpy the same sweep runs on sorted Python lists (identical
 survivors — the filter is pure comparisons, so there is no float-parity
@@ -35,6 +41,7 @@ asserts against the brute-force oracle).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 from repro.errors import InvalidParameterError
@@ -134,17 +141,13 @@ def _mask_numpy(
         block = ranked[start:start + block_size]
         alive = _np.ones(len(block), dtype=bool)
         if frontier is not None:
-            # frontier x block broadcast: drop block members some
-            # frontier member dominates.
-            le = (frontier[:, None, :] <= block[None, :, :]).all(axis=2)
-            lt = (frontier[:, None, :] < block[None, :, :]).any(axis=2)
-            alive &= ~(le & lt).any(axis=0)
+            alive &= ~_dominated_by(frontier, block, block_size)
         survivors = block[alive]
         if len(survivors) > 1:
             # Intra-block pairwise cull among the survivors.
-            le = (survivors[:, None, :] <= survivors[None, :, :]).all(axis=2)
-            lt = (survivors[:, None, :] < survivors[None, :, :]).any(axis=2)
-            alive[_np.flatnonzero(alive)[(le & lt).any(axis=0)]] = False
+            alive[_np.flatnonzero(alive)[
+                _dominated_by(survivors, survivors, block_size)
+            ]] = False
             survivors = block[alive]
         keep[order[start:start + block_size][alive]] = True
         if len(survivors):
@@ -154,6 +157,29 @@ def _mask_numpy(
                 else _np.concatenate([frontier, survivors])
             )
     return keep.tolist()
+
+
+def _dominated_by(members, rows, chunk: int):
+    """Boolean mask of the ``rows`` that some row of ``members``
+    dominates (both ``(n, objectives)`` float arrays; ``members`` not
+    empty).
+
+    Compares one objective column at a time over slices of ``chunk``
+    members, so it holds at most a few ``chunk x len(rows)`` boolean
+    tables however many members there are.
+    """
+    hit = None
+    columns = rows.T
+    for start in range(0, len(members), chunk):
+        part = members[start:start + chunk].T[:, :, None]
+        no_worse = part[0] <= columns[0]
+        better = part[0] < columns[0]
+        for objective in range(1, len(columns)):
+            no_worse &= part[objective] <= columns[objective]
+            better |= part[objective] < columns[objective]
+        found = (no_worse & better).any(axis=0)
+        hit = found if hit is None else hit | found
+    return hit
 
 
 def _mask_scalar(
@@ -198,16 +224,28 @@ class FrontierAccumulator:
     """Streaming frontier over blocks arriving in *any* order.
 
     ``add`` folds one block of (objective vector, payload) pairs into
-    the running frontier; blocks need not be globally sorted (unlike
-    the one-shot mask above), so evaluation can stream candidates in
-    whatever order the generator produces them at bounded memory —
-    only the current frontier is retained.  ``members`` returns the
+    the running frontier.  The block is first checked against what the
+    accumulator already holds: a row that some member dominates can
+    never be on the final frontier, so one vectorized dominance test
+    (no sort; frontier members compared ``block_size`` at a time, so
+    the test holds at most ``block_size x rows`` comparisons) drops
+    it.  Only the rows that survive, merged with the frontier, go
+    through :func:`non_dominated_mask`; a block the frontier covers
+    costs one broadcast and nothing else.
+
+    Blocks need not be globally sorted (unlike the one-shot mask
+    above), so evaluation can stream candidates in whatever order the
+    generator produces them at bounded memory — only the current
+    frontier is retained.  ``payloads`` is read only at the rows that
+    survive the cull, so it may be any indexable sequence, including a
+    view that builds each payload on demand.  ``members`` returns the
     surviving payloads in insertion order.
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE):
         self._block_size = block_size
-        self._scores: list[tuple[float, ...]] = []
+        # An (n, objectives) float array with numpy, tuples otherwise.
+        self._scores: Sequence[Sequence[float]] = []
         self._payloads: list[object] = []
 
     def add(
@@ -217,16 +255,40 @@ class FrontierAccumulator:
             raise InvalidParameterError(
                 "scores and payloads must have equal length"
             )
-        if not scores:
+        if len(scores) == 0:
             return
-        merged_scores = self._scores + [tuple(row) for row in scores]
-        merged_payloads = self._payloads + list(payloads)
-        mask = non_dominated_mask(merged_scores, self._block_size)
-        self._scores = [
-            row for row, kept in zip(merged_scores, mask) if kept
-        ]
+        held = self._scores
+        if _np is not None:
+            table = _np.asarray(scores, dtype=float)
+            if len(held):
+                dominated = _dominated_by(held, table, self._block_size)
+                if dominated.all():
+                    return
+                rows = _np.flatnonzero(~dominated).tolist()
+                merged = _np.concatenate([held, table[rows]])
+            else:
+                rows, merged = range(len(table)), table
+        else:
+            rows = [
+                offset
+                for offset, row in enumerate(scores)
+                if not any(_dominates(member, row) for member in held)
+            ]
+            if not rows:
+                return
+            merged = [*held, *(tuple(scores[offset]) for offset in rows)]
+        mask = non_dominated_mask(merged, self._block_size)
+        kept = list(compress(range(len(mask)), mask))
+        self._scores = (
+            merged[kept]
+            if _np is not None
+            else [merged[index] for index in kept]
+        )
+        count = len(self._payloads)
         self._payloads = [
-            payload for payload, kept in zip(merged_payloads, mask) if kept
+            self._payloads[index] if index < count
+            else payloads[rows[index - count]]
+            for index in kept
         ]
 
     def __len__(self) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from repro.errors import InvalidParameterError
@@ -72,8 +73,10 @@ def die_cost_columns(node: ProcessNode, areas) -> DieColumns:
         defects = (node.defect_density * areas) / 100.0
         bases = 1.0 + defects / node.cluster_param
         # libm pow per element, never numpy's SIMD power (last-ulp parity)
-        die_yield = _np.array(
-            [base ** exponent for base in bases.tolist()], dtype=float
+        die_yield = _np.fromiter(
+            map(pow, memoryview(bases), repeat(exponent)),
+            _np.float64,
+            len(bases),
         )
         raw = node.wafer_price / dies
         total = raw / die_yield

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import pkgutil
+import sys
 
 import pytest
 
+import repro
 from repro.core.chip import Chip
 from repro.core.module import Module
 from repro.core.system import System
@@ -16,6 +20,23 @@ from repro.packaging.mcm import mcm
 from repro.packaging.soc import soc_package
 from repro.process.catalog import get_node
 from repro.reuse.portfolio import Portfolio
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """Run the test on the scalar fallbacks: ``_np = None`` in every
+    ``repro`` module that keeps the numpy flag.
+
+    Every ``repro`` module is imported first, so the switch covers all
+    of them at once: no test can turn off numpy in some modules and
+    leave it on in the ones they call, and no module loaded later in
+    the test brings it back.
+    """
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "repro" and "_np" in vars(module):
+            monkeypatch.setattr(module, "_np", None)
 
 
 @pytest.fixture

@@ -15,18 +15,18 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from checks import assert_bit_equal
 from repro.config import ConfigRegistries
-from repro.engine import partition_columns
+from repro.engine.fastmc import ColumnSamples
 from repro.explore import montecarlo
-from repro.explore.montecarlo import CostDistribution
+from repro.explore.montecarlo import CostDistribution, monte_carlo_cost
+from repro.explore.partition import partition_monolith
+from repro.packaging.mcm import mcm
 from repro.process.catalog import get_node
-from repro.search import engine as engine_module
 from repro.search import evaluate as evaluate_module
-from repro.search import frontier as frontier_module
 from repro.search.engine import _materialize, run_search
 from repro.search.evaluate import SpaceEvaluator
 from repro.search.space import DesignSpace
@@ -101,7 +101,10 @@ def _reference(samples):
 
 
 def _statistics(samples):
-    distribution = CostDistribution(samples=samples)
+    return _statistics_of(CostDistribution(samples=samples))
+
+
+def _statistics_of(distribution):
     return (
         distribution.mean,
         distribution.std,
@@ -130,21 +133,61 @@ def test_column_statistics_equal_the_scalar_definitions(samples):
     _assert_reference(samples, "CostDistribution[numpy]")
 
 
+#: ``no_numpy`` is set once for all of a test's examples, which is what
+#: those tests want.
+with_fixture = settings(suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
+])
+
+
+@with_fixture
 @given(samples=sample_sets())
-def test_fallback_statistics_equal_the_scalar_definitions(samples):
-    with mock.patch.object(montecarlo, "_np", None):
-        _assert_reference(samples, "CostDistribution[no numpy]")
+def test_fallback_statistics_equal_the_scalar_definitions(samples, no_numpy):
+    _assert_reference(samples, "CostDistribution[no numpy]")
 
 
 @pytest.mark.parametrize("numpy", [True, False])
-def test_mean_is_the_left_fold(numpy):
+def test_mean_is_the_left_fold(numpy, request):
     # The fold gives 0.0; compensated (Neumaier) summation gives 1/3.
     if numpy and montecarlo._np is None:
         pytest.skip("needs numpy")
-    with mock.patch.object(
-        montecarlo, "_np", montecarlo._np if numpy else None
-    ):
-        assert CostDistribution((1e16, 1.0, -1e16)).mean == 0.0
+    if not numpy:
+        request.getfixturevalue("no_numpy")
+    assert CostDistribution((1e16, 1.0, -1e16)).mean == 0.0
+
+
+@pytest.mark.parametrize("numpy", [True, False])
+@pytest.mark.parametrize("d", POW_DIFFERS)
+def test_negative_deviations_square_like_the_definition(d, numpy, request):
+    # (-d, -d, 2d) has mean 0.0 exactly, so two of its deviations are
+    # -d, whose libm square differs from the product.
+    if numpy and montecarlo._np is None:
+        pytest.skip("needs numpy")
+    if not numpy:
+        request.getfixturevalue("no_numpy")
+    assert (-d) ** 2 != (-d) * (-d)
+    for samples in ((-d, -d, 2 * d), (-d, d)):
+        _assert_reference(samples, f"std{samples}")
+
+
+@needs_numpy
+@given(samples=sample_sets())
+def test_handed_over_column_gives_the_tuple_statistics(samples):
+    column = montecarlo._np.array(samples, dtype=float)
+    handed = CostDistribution.of(ColumnSamples(column))
+    assert handed.samples == samples
+    assert vars(handed)["_column"] is column
+    mean, std, quantiles = _statistics_of(handed)
+    assert (mean, std, quantiles) == _statistics(samples)
+
+
+@needs_numpy
+def test_monte_carlo_cost_hands_its_column_over():
+    system = partition_monolith(500.0, get_node("7nm"), 4, mcm())
+    distribution = monte_carlo_cost(system, draws=300, seed=3)
+    assert "_column" in vars(distribution)  # before any statistic
+    assert _statistics_of(distribution) == _statistics(distribution.samples)
+    assert all(type(value) is float for value in distribution.samples)
 
 
 # -- run_search selection ---------------------------------------------------
@@ -153,27 +196,36 @@ def test_mean_is_the_left_fold(numpy):
 #: candidates ties the 7nm twin in every metric.
 TWIN = "7nm-twin"
 
+#: 7nm at a lower wafer price: each of its candidates dominates the
+#: same design on 7nm or the twin (lower RE, same NRE and footprint).
+CHEAP = "7nm-cheap"
+
 
 def _registries():
     registries = ConfigRegistries()
-    registries.nodes.register(
-        TWIN, dataclasses.replace(get_node("7nm"), name=TWIN)
-    )
+    seven = get_node("7nm")
+    registries.nodes.register(TWIN, dataclasses.replace(seven, name=TWIN))
+    registries.nodes.register(CHEAP, dataclasses.replace(
+        seven, name=CHEAP, wafer_price=0.8 * seven.wafer_price
+    ))
     return registries
 
 
 @st.composite
-def tied_spaces(draw):
+def tied_spaces(draw, cheap_last=False):
     """Spaces priced on 7nm and its twin, so totals tie across nodes,
     with repeated module areas, so they tie across area chunks too (the
     evaluator then yields tied rows out of index order); ``top_k`` runs
-    from none to more than every candidate."""
+    from none to more than every candidate.  With ``cheap_last`` the
+    cheaper 7nm is listed last, so its blocks arrive after the ones
+    they dominate and must evict what the running frontier holds."""
+    nodes = tuple(draw(st.permutations(("7nm", TWIN))))
     return DesignSpace(
         module_areas=tuple(draw(st.lists(
             st.sampled_from((100.0, 250.0, 400.0, 550.0)),
             min_size=1, max_size=5,
         ))),
-        nodes=tuple(draw(st.permutations(("7nm", TWIN)))),
+        nodes=nodes + (CHEAP,) if cheap_last else nodes,
         technologies=tuple(draw(st.lists(
             st.sampled_from(("mcm", "2.5d")), min_size=1, max_size=2,
             unique=True,
@@ -229,6 +281,7 @@ def _assert_selection(space, batch_size):
     assert len(set(totals)) < len(totals)  # the space has ties
     assert result.frontier == frontier
     assert result.top == top
+    return result
 
 
 @needs_numpy
@@ -237,10 +290,28 @@ def test_search_selection_with_ties(space, batch_size):
     _assert_selection(space, batch_size)
 
 
+@with_fixture
 @given(space=tied_spaces(), batch_size=batch_sizes)
-def test_search_selection_with_ties_without_numpy(space, batch_size):
-    with mock.patch.object(frontier_module, "_np", None), \
-            mock.patch.object(evaluate_module, "_np", None), \
-            mock.patch.object(engine_module, "_np", None), \
-            mock.patch.object(partition_columns, "_np", None):
-        _assert_selection(space, batch_size)
+def test_search_selection_with_ties_without_numpy(space, batch_size, no_numpy):
+    _assert_selection(space, batch_size)
+
+
+def _assert_evictions(space, batch_size):
+    result = _assert_selection(space, batch_size)
+    # The 7nm and twin blocks come first and put members on the running
+    # frontier; the cheap node's later blocks dominate all of them.
+    assert {candidate.node for candidate in result.frontier} == {CHEAP}
+
+
+@needs_numpy
+@given(space=tied_spaces(cheap_last=True), batch_size=batch_sizes)
+def test_search_selection_when_later_blocks_dominate(space, batch_size):
+    _assert_evictions(space, batch_size)
+
+
+@with_fixture
+@given(space=tied_spaces(cheap_last=True), batch_size=batch_sizes)
+def test_search_selection_when_later_blocks_dominate_without_numpy(
+    space, batch_size, no_numpy
+):
+    _assert_evictions(space, batch_size)

@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from repro.engine import rng as engine_rng
 from repro.engine.rng import (
     VECTOR_CUTOFF,
     gauss_fill,
@@ -147,15 +146,13 @@ class TestPriorParity:
 class TestScalarFallback:
     """Without numpy every entry point is the per-call stdlib loop."""
 
-    def test_gauss_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(engine_rng, "_np", None)
+    def test_gauss_without_numpy(self, no_numpy):
         expected, oracle = _oracle_gauss(21, 5000)
         fallback = random.Random(21)
         assert gauss_fill(fallback, 5000) == expected
         assert fallback.getstate() == oracle.getstate()
 
-    def test_prior_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(engine_rng, "_np", None)
+    def test_prior_without_numpy(self, no_numpy):
         prior = DefectDensityPrior(mode=1.0, sigma=0.15)
         oracle = random.Random(22)
         expected = [prior.sample(oracle) for _ in range(5000)]

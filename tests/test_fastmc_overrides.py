@@ -16,7 +16,6 @@ import pytest
 
 from repro.config import ConfigRegistries
 from repro.engine import fastmc
-from repro.engine import rng as engine_rng
 from repro.engine.fastmc import MonteCarloPlan, sample_re_costs
 from repro.errors import InvalidParameterError
 from repro.explore.montecarlo import monte_carlo_cost, monte_carlo_cost_naive
@@ -112,27 +111,26 @@ class TestFastWithOverrides:
 class TestScalarFallbackStream:
     """Satellite regression: identical streams with numpy absent."""
 
-    def _force_scalar(self, monkeypatch):
-        monkeypatch.setattr(fastmc, "_np", None)
-        monkeypatch.setattr(engine_rng, "_np", None)
+    def _force_scalar(self, request):
+        request.getfixturevalue("no_numpy")
 
     @pytest.mark.parametrize("system", _systems()[:2], ids=lambda s: s.name)
-    def test_fast_equals_naive_without_numpy(self, system, monkeypatch):
-        self._force_scalar(monkeypatch)
+    def test_fast_equals_naive_without_numpy(self, system, request):
+        self._force_scalar(request)
         fast = sample_re_costs(system, draws=150, sigma=0.15, seed=7)
         naive = monte_carlo_cost_naive(system, draws=150, sigma=0.15, seed=7)
         assert tuple(fast) == naive.samples
 
-    def test_fallback_equals_vectorized_samples(self, monkeypatch):
+    def test_fallback_equals_vectorized_samples(self, request):
         """numpy presence changes speed only, never a draw."""
         system = partition_monolith(700.0, get_node("5nm"), 5, mcm())
         vectorized = sample_re_costs(system, draws=400, sigma=0.3, seed=5)
-        self._force_scalar(monkeypatch)
+        self._force_scalar(request)
         scalar = sample_re_costs(system, draws=400, sigma=0.3, seed=5)
         assert scalar == vectorized
 
-    def test_fallback_with_override_without_numpy(self, monkeypatch):
-        self._force_scalar(monkeypatch)
+    def test_fallback_with_override_without_numpy(self, request):
+        self._force_scalar(request)
         system = partition_monolith(500.0, get_node("7nm"), 2, mcm())
         override = _override()
         fast = sample_re_costs(system, draws=100, seed=4, die_cost_fn=override)
@@ -141,10 +139,10 @@ class TestScalarFallbackStream:
         )
         assert tuple(fast) == naive.samples
 
-    def test_sample_loop_shares_the_prior_stream(self, monkeypatch):
+    def test_sample_loop_shares_the_prior_stream(self, request):
         """The scalar loop draws through the same single code path the
         vectorized sampler uses (repro.engine.rng.sample_prior)."""
-        self._force_scalar(monkeypatch)
+        self._force_scalar(request)
         system = partition_monolith(600.0, get_node("7nm"), 3, mcm())
         plan = MonteCarloPlan.compile(system)
         prior = DefectDensityPrior(mode=1.0, sigma=0.15)

@@ -5,7 +5,6 @@ die-cost overrides threaded into decompositions."""
 
 import pytest
 
-import repro.engine.fastportfolio as fastportfolio
 from repro.config import ConfigRegistries
 from repro.core.module import Module
 from repro.core.system import chiplet, multichip
@@ -123,10 +122,10 @@ class TestManySystemParity:
 
 
 class TestFallbackAndValidation:
-    def test_scalar_fallback_without_numpy(self, engine, monkeypatch):
+    def test_scalar_fallback_without_numpy(self, engine, request):
         portfolio = synthetic_portfolio(30)
         vector = engine.decompose(portfolio).solve(SCALES)
-        monkeypatch.setattr(fastportfolio, "_np", None)
+        request.getfixturevalue("no_numpy")
         scalar = PortfolioEngine(CostEngine()).volume_solve(portfolio, SCALES)
         for index in range(len(SCALES)):
             assert scalar.point_totals(index) == vector.point_totals(index)

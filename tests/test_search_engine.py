@@ -8,8 +8,6 @@ import json
 
 import pytest
 
-import repro.engine.partition_columns as kernel_module
-import repro.search.engine as engine_module
 import repro.search.evaluate as evaluate_module
 import repro.search.frontier as frontier_module
 from repro.config import ConfigRegistries
@@ -171,13 +169,11 @@ class TestParityWithOracle:
             _assert_same_result(run_search(space), reference)
 
     @pytest.mark.skipif(frontier_module._np is None, reason="needs numpy")
-    def test_scalar_fallback_matches_numpy(self, monkeypatch):
+    def test_scalar_fallback_matches_numpy(self, request):
         space = _space()
         vectorized = run_search(space)
-        for module in (
-            frontier_module, evaluate_module, engine_module, kernel_module
-        ):
-            monkeypatch.setattr(module, "_np", None)
+        request.getfixturevalue("no_numpy")
+        assert evaluate_module._np is None
         _assert_same_result(run_search(space), vectorized)
 
     def test_unknown_node_names_search_context(self):
