@@ -13,9 +13,9 @@ Run:  PYTHONPATH=src python examples/service_client.py
 """
 
 from repro import CostRequest, ScenarioRequest
+from repro.explore.costquery import cost_table
 from repro.service.app import ServerThread
 from repro.service.client import ServiceClient
-from repro.service.schemas import cost_table
 
 SCENARIO = {
     "name": "service-demo",

@@ -90,9 +90,8 @@ __getattr__, __dir__, __all__ = name_table(__name__, {
     "repro.analysis.report": ("AnalysisReport",),
     "repro.analysis.driver": ("analyze_paths",),
     "repro.analysis.registry": ("all_rule_ids",),
-    "repro.service.schemas": (
-        "CostRequest", "CostResult", "ScenarioRequest", "ScenarioRunResult",
-    ),
+    "repro.explore.costquery": ("CostRequest", "CostResult"),
+    "repro.service.schemas": ("ScenarioRequest", "ScenarioRunResult"),
 })
 
 __version__ = "1.0.0"

@@ -20,6 +20,10 @@ silently break that contract:
   process state), including ``from random import gauss``-style imports;
 * wall-clock reads (``time.time``/``monotonic``/``perf_counter``/...,
   ``datetime.now``) — results must be pure functions of the inputs;
+* numpy transcendental ufuncs — ``np.exp``/``log``/``sin``/``cos``/
+  ``power`` and their relatives (numpy's own vector kernels round
+  differently from the libm call the oracle makes; ``sqrt`` is exact
+  and allowed);
 * reassociating numpy reductions — ``np.sum``/``prod``/``dot``/
   ``matmul``/``einsum``/``nansum``, the statistics ``np.mean``/``std``/
   ``var``/``average``/``median``/``quantile``/``percentile`` (and
@@ -65,6 +69,16 @@ _REASSOC_REDUCTIONS = {
 }
 #: The reductions an ndarray also spells as a method (``arr.mean()``).
 _METHOD_REDUCTIONS = {"sum", "prod", "dot", "matmul", "mean", "std", "var"}
+#: numpy's transcendental ufuncs (SIMD kernels of their own, not libm),
+#: with numpy 2's array-API aliases.  ``sqrt`` is IEEE correctly
+#: rounded everywhere, so it stays allowed.
+_TRANSCENDENTALS = {
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2",
+    "sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh",
+    "asin", "acos", "atan", "atan2", "asinh", "acosh", "atanh",
+    "power", "float_power", "pow", "cbrt",
+}
 
 
 def _is_unordered_iterable(node: ast.expr) -> bool:
@@ -97,7 +111,8 @@ class ParityDeterminismRule(Rule):
         "Inside the parity-critical engine/, search/ and packaging/ trees "
         "and wafer/diecolumns.py: no float "
         "accumulation over unordered iterables, no unseeded module-level "
-        "random, no wall-clock reads, no reassociating numpy reductions."
+        "random, no wall-clock reads, no numpy transcendentals, no "
+        "reassociating numpy reductions."
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
@@ -188,6 +203,19 @@ class ParityDeterminismRule(Rule):
                     "parity-critical code; results must be pure "
                     "functions of their inputs",
                 )
+            return
+        if (
+            func.attr in _TRANSCENDENTALS
+            and isinstance(owner, ast.Name)
+            and owner.id in _NUMPY_ALIASES
+        ):
+            yield ctx.finding(
+                self.rule_id,
+                call,
+                f"numpy transcendental {owner.id}.{func.attr}() is not "
+                "libm and may round differently from the oracle's math "
+                "call; map the libm function over the column instead",
+            )
             return
         if func.attr in _REASSOC_REDUCTIONS:
             if isinstance(owner, ast.Name) and owner.id in _NUMPY_ALIASES:

@@ -40,14 +40,10 @@ from repro.experiments.common import (
     MULTICHIP_TECH_NAMES,
     multichip_integrations,
 )
-from repro.explore.decide import choose_integration, multichip_payback_quantity
 from repro.explore.partition import partition_monolith, soc_reference
 from repro.process.catalog import get_node
-from repro.registry.d2d import d2d_registry
-from repro.registry.nodes import node_registry
 from repro.registry.technologies import technology_registry
 from repro.reporting.table import Table
-from repro.scenario.sinks import SINK_FORMATS
 
 
 def _integration(name: str):
@@ -87,6 +83,7 @@ def _add_yield_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_nodes(_args: argparse.Namespace) -> int:
     from repro.process.catalog import NODES
+    from repro.registry.nodes import node_registry
 
     table = Table(
         ["node", "D0 (/cm^2)", "c", "wafer ($)", "density (MTr/mm^2)",
@@ -115,6 +112,10 @@ def _cmd_nodes(_args: argparse.Namespace) -> int:
 
 
 def _cmd_techs(_args: argparse.Namespace) -> int:
+    from repro.registry.d2d import d2d_registry
+    from repro.registry.geometries import wafer_geometry_registry
+    from repro.registry.yieldmodels import yield_model_registry
+
     techs = Table(
         ["name", "label", "base", "description"],
         title="Integration-technology registry",
@@ -137,9 +138,6 @@ def _cmd_techs(_args: argparse.Namespace) -> int:
         )
     print(phys.render())
     print()
-    from repro.registry.geometries import wafer_geometry_registry
-    from repro.registry.yieldmodels import yield_model_registry
-
     models = Table(
         ["name", "family", "params", "gross", "description"],
         title="Yield-model registry",
@@ -166,25 +164,11 @@ def _cmd_techs(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _die_cost_override(args: argparse.Namespace, context: str):
-    """``(node, area) -> DieCost`` override for ``--yield-model`` /
-    ``--wafer-geometry`` flags (``None`` when neither is given), resolved
-    through the global registries like scenario studies resolve names."""
-    from repro.config import ConfigRegistries
-
-    return ConfigRegistries().die_cost_fn(
-        getattr(args, "yield_model", "") or "",
-        getattr(args, "wafer_geometry", "") or "",
-        context=context,
-    )
-
-
 def _cmd_cost(args: argparse.Namespace) -> int:
-    # Routed through the service-layer contract, so `repro cost` and
-    # POST /v1/cost are the same evaluation and the same table —
-    # parity by construction (tools/service_smoke.py holds the line).
-    from repro.service.schemas import CostRequest, cost_table
-    from repro.service.state import evaluate_cost
+    # The query POST /v1/cost also runs, so `repro cost` and the
+    # service are the same evaluation and the same table — parity by
+    # construction (tools/service_smoke.py holds the line).
+    from repro.explore.costquery import CostRequest, cost_table, evaluate_cost
 
     request = CostRequest(
         area=args.area,
@@ -212,6 +196,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.explore.decide import choose_integration
+
     node = get_node(args.node)
     choices = choose_integration(
         args.area,
@@ -238,6 +224,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_payback(args: argparse.Namespace) -> int:
+    from repro.explore.decide import multichip_payback_quantity
+
     node = get_node(args.node)
     soc_system = soc_reference(args.area, node)
     multi = partition_monolith(
@@ -262,11 +250,14 @@ def _cmd_payback(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.config import ConfigRegistries
     from repro.engine import default_engine
     from repro.packaging.soc import soc_package
     from repro.reporting.series import FigureData, Series
 
-    die_cost_fn = _die_cost_override(args, "sweep")
+    die_cost_fn = ConfigRegistries().die_cost_fn(
+        args.yield_model, args.wafer_geometry, context="sweep"
+    )
     engine = default_engine()
     node = get_node(args.node)
     step = int(args.step)
@@ -414,6 +405,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"(available: {[s.name for s in spec.studies]})"
             )
         spec = dataclasses.replace(spec, studies=studies)
+    # CLI flags override the scenario's 'sinks' section field-by-field
+    # *before* validation, so --sink-dir can complete a section that
+    # only names formats; SinkSpec rejects an unknown --sink-format
+    # before any study runs.
+    sink_payload = dict(spec.sinks)
+    if args.sink_dir:
+        sink_payload["directory"] = args.sink_dir
+    if args.sink_format:
+        sink_payload["formats"] = list(args.sink_format)
+    sink = sink_from_mapping(sink_payload) if sink_payload else None
+
     result = ScenarioRunner().run(spec)
     header = f"Scenario: {spec.name}"
     if spec.description:
@@ -421,16 +423,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(header)
     print()
     print(result.render())
-
-    # CLI flags override the scenario's 'sinks' section field-by-field
-    # *before* validation, so --sink-dir can complete a section that
-    # only names formats.
-    sink_payload = dict(spec.sinks)
-    if args.sink_dir:
-        sink_payload["directory"] = args.sink_dir
-    if args.sink_format:
-        sink_payload["formats"] = list(args.sink_format)
-    sink = sink_from_mapping(sink_payload) if sink_payload else None
     if sink is not None:
         written = write_sinks(result, sink)
         print()
@@ -702,10 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--sink-format",
         action="append",
-        choices=list(SINK_FORMATS),
         default=None,
-        help="sink format (repeatable; default: "
-        f"{' and '.join(SINK_FORMATS)})",
+        metavar="FORMAT",
+        help="sink format (repeatable; default: the scenario's formats, "
+        "else all of them)",
     )
 
     portfolio = sub.add_parser("portfolio", help="report a portfolio JSON")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.canon import fold_sum
 from repro.core.chip import Chip
 from repro.core.nre_cost import compute_system_nre
 from repro.core.re_cost import compute_re_cost
@@ -58,7 +59,7 @@ class RoadmapAssumptions:
 
     @property
     def total_volume(self) -> float:
-        return sum(self.volumes)
+        return fold_sum(self.volumes)
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class RoadmapResult:
 
     @property
     def re_spend(self) -> float:
-        return sum(period.spend for period in self.periods)
+        return fold_sum(period.spend for period in self.periods)
 
     @property
     def program_cost(self) -> float:
@@ -90,7 +91,7 @@ class RoadmapResult:
 
     @property
     def total_volume(self) -> float:
-        return sum(period.volume for period in self.periods)
+        return fold_sum(period.volume for period in self.periods)
 
     @property
     def average_unit_cost(self) -> float:
@@ -198,7 +199,7 @@ def ramp_volumes(
         raise InvalidParameterError("periods must be >= 1")
     shape_fn = shape or (lambda t: min(t + 1.0, periods / 2.0))
     weights = [shape_fn(float(t)) for t in range(periods)]
-    weight_sum = sum(weights)
+    weight_sum = fold_sum(weights)
     if weight_sum <= 0:
         raise InvalidParameterError("ramp shape produced no volume")
     return tuple(total * w / weight_sum for w in weights)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.canon import fold_sum
 from repro.core.chip import Chip
 from repro.core.module import Module
 from repro.core.system import System
@@ -38,7 +39,7 @@ class PartitionAssignment:
     @property
     def imbalance(self) -> float:
         """max/mean bin area; 1.0 is perfectly balanced."""
-        mean = sum(self.bin_areas) / len(self.bin_areas)
+        mean = fold_sum(self.bin_areas) / len(self.bin_areas)
         if mean == 0:
             return 1.0
         return self.max_area / mean
@@ -117,7 +118,7 @@ def balance_modules(areas: Sequence[float], k: int) -> PartitionAssignment:
                 break
 
     populated = [tuple(sorted(b)) for b in bins if b]
-    areas_out = [sum(areas[i] for i in b) for b in populated]
+    areas_out = [fold_sum(areas[i] for i in b) for b in populated]
     return PartitionAssignment(
         bins=tuple(populated), bin_areas=tuple(areas_out)
     )

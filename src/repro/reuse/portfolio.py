@@ -183,10 +183,10 @@ class Portfolio:
 
     def total_nre(self) -> NRECost:
         """One-time cost of the whole portfolio, each design paid once."""
-        modules = sum(unit.nre for unit in self._module_units.values())
-        chips = sum(unit.nre for unit in self._chip_units.values())
-        d2d = sum(unit.nre for unit in self._d2d_units.values())
-        packages = sum(unit.nre for unit in self._package_units.values())
+        modules = fold_sum(unit.nre for unit in self._module_units.values())
+        chips = fold_sum(unit.nre for unit in self._chip_units.values())
+        d2d = fold_sum(unit.nre for unit in self._d2d_units.values())
+        packages = fold_sum(unit.nre for unit in self._package_units.values())
         for system in self.systems:
             if system.package is None:
                 packages += system.integration.package_nre(system.chip_areas)

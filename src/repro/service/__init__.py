@@ -4,10 +4,10 @@ The CLI pays interpreter start-up, imports and cold caches on every
 ``repro cost`` invocation; this package keeps one process resident
 instead.  Five pieces (docs/SERVICE.md walks through them):
 
-* :mod:`repro.service.schemas` — the typed request/response contract
-  shared by HTTP and CLI (``repro cost`` prints the same
-  :func:`~repro.service.schemas.cost_table` the service's JSON
-  re-renders to, so the two interfaces agree byte-for-byte);
+* :mod:`repro.service.schemas` — the typed request/response contract;
+  its cost part is :mod:`repro.explore.costquery`, which ``repro
+  cost`` runs without loading this package, so the CLI's table and the
+  one the service's JSON re-renders to agree byte-for-byte;
 * :mod:`repro.service.state` — the process-wide warm
   :class:`~repro.engine.costengine.CostEngine` behind an explicit lock
   discipline;
@@ -26,11 +26,14 @@ instead.  Five pieces (docs/SERVICE.md walks through them):
 from repro.lazy import name_table
 
 __getattr__, __dir__, __all__ = name_table(__name__, {
-    "repro.service.schemas": (
-        "CostRequest", "CostResult", "ScenarioRequest", "ScenarioRunResult",
-        "StudySummary", "cost_table",
+    "repro.explore.costquery": (
+        "CostRequest", "CostResult", "build_system", "cost_table",
+        "evaluate_cost",
     ),
-    "repro.service.state": ("ServiceState", "build_system", "evaluate_cost"),
+    "repro.service.schemas": (
+        "ScenarioRequest", "ScenarioRunResult", "StudySummary",
+    ),
+    "repro.service.state": ("ServiceState",),
     "repro.service.batching": ("CostBatcher",),
     "repro.service.cache": ("ResponseCache",),
     "repro.service.app": (

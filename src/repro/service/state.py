@@ -21,10 +21,11 @@ fronts them with an explicit lock discipline:
   recompute from the live global registries; the response cache
   compares hashes to invalidate itself when a registry mutates.
 
-:func:`evaluate_cost` is deliberately a module-level function usable
-without any state: the CLI's ``repro cost`` calls it engine-less (the
-plain :func:`repro.core.re_cost.compute_re_cost` path), the service
-calls it with the warm engine — and the engine's bit-parity contract
+:func:`~repro.explore.costquery.evaluate_cost` (re-exported here) is
+deliberately a function usable without any state: the CLI's ``repro
+cost`` calls it engine-less (the plain
+:func:`repro.core.re_cost.compute_re_cost` path), the service calls it
+with the warm engine — and the engine's bit-parity contract
 (``tests/test_engine.py``) makes both spellings return identical
 numbers.
 """
@@ -35,77 +36,12 @@ import threading
 import time
 from typing import Any, Sequence
 
+from repro.explore.costquery import CostRequest, CostResult, evaluate_cost
 from repro.service.schemas import (
-    CostRequest,
-    CostResult,
     ScenarioRequest,
     ScenarioRunResult,
     StudySummary,
 )
-
-
-def build_system(request: CostRequest) -> Any:
-    """The :class:`repro.core.system.System` a cost request describes —
-    the same construction path as the ``repro cost`` CLI."""
-    from repro.explore.partition import partition_monolith, soc_reference
-    from repro.process.catalog import get_node
-    from repro.registry.technologies import technology_registry
-
-    node = get_node(request.node)
-    if request.integration == "soc":
-        return soc_reference(
-            request.area, node, quantity=request.quantity
-        )
-    return partition_monolith(
-        request.area,
-        node,
-        request.chiplets,
-        technology_registry().create(request.integration),
-        d2d_fraction=request.d2d_fraction,
-        quantity=request.quantity,
-    )
-
-
-def resolve_die_cost_fn(request: CostRequest, context: str) -> Any:
-    """The die pricing a request's ``yield_model`` / ``wafer_geometry``
-    names select, resolved through the global registries by
-    :meth:`repro.config.ConfigRegistries.die_cost_fn` (``None``: the
-    engine's default pricing).  Unknown names raise
-    :class:`~repro.errors.ConfigError`."""
-    from repro.config import ConfigRegistries
-
-    return ConfigRegistries().die_cost_fn(
-        request.yield_model, request.wafer_geometry, context=context
-    )
-
-
-def _result_from_costs(system: Any, re: Any, total: Any) -> CostResult:
-    return CostResult(
-        system=system.name,
-        re=re.as_dict(),
-        re_total=re.total,
-        nre=total.amortized_nre.as_dict(),
-        nre_total=total.nre_total,
-        total=total.total,
-    )
-
-
-def evaluate_cost(request: CostRequest, engine: Any = None) -> CostResult:
-    """Price one request; with ``engine`` the warm cached path, without
-    it the plain core-function path (what the CLI runs).  Both are
-    bit-identical by the engine's parity contract."""
-    from repro.core.total import compute_total_cost
-
-    system = build_system(request)
-    price_die = resolve_die_cost_fn(request, "cost")
-    if engine is None:
-        from repro.core.re_cost import compute_re_cost
-
-        re = compute_re_cost(system, die_cost_fn=price_die)
-    else:
-        re = engine.evaluate_re(system, die_cost_fn=price_die)
-    total = compute_total_cost(system, re_cost=re)
-    return _result_from_costs(system, re, total)
 
 
 class ServiceState:
@@ -196,9 +132,4 @@ class ServiceState:
         }
 
 
-__all__ = [
-    "ServiceState",
-    "build_system",
-    "evaluate_cost",
-    "resolve_die_cost_fn",
-]
+__all__ = ["ServiceState", "evaluate_cost"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.canon import fold_sum
 from repro.errors import InvalidParameterError
 
 
@@ -58,7 +59,7 @@ class SerialYield:
         """
         if label not in self.stages:
             raise KeyError(label)
-        total_loss = sum(1.0 - value for value in self.stages.values())
+        total_loss = fold_sum(1.0 - value for value in self.stages.values())
         if total_loss == 0.0:
             return 0.0
         return (1.0 - self.stages[label]) / total_loss

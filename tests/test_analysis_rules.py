@@ -393,6 +393,49 @@ def test_determinism_fires_on_numpy_statistics(name):
     assert f"np.{name}()" in findings[0].message
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
+        "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2",
+        "sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh",
+        "asin", "acos", "atan", "atan2", "asinh", "acosh", "atanh",
+        "power", "float_power", "pow", "cbrt",
+    ],
+)
+def test_determinism_fires_on_numpy_transcendental(name):
+    # The oracle calls libm one element at a time; numpy's vector
+    # kernels may round the last bit differently.
+    findings = run(
+        "src/repro/engine/bad.py", f"value = _np.{name}(column)\n"
+    )
+    assert [f.rule for f in findings] == ["parity-determinism"]
+    assert f"_np.{name}()" in findings[0].message
+    assert "libm" in findings[0].message
+
+
+@pytest.mark.parametrize("alias", ["np", "numpy"])
+def test_determinism_transcendentals_under_every_numpy_alias(alias):
+    assert rules_fired(
+        "src/repro/search/bad.py", f"value = {alias}.exp(column)\n"
+    ) == {"parity-determinism"}
+
+
+def test_determinism_allows_sqrt_and_libm_bridge():
+    # sqrt is correctly rounded; a libm function mapped over a column
+    # is the bridge the contract asks for; math.exp is libm.
+    assert rules_fired(
+        "src/repro/engine/ok.py",
+        """\
+        import math
+
+        root = _np.sqrt(column)
+        logs = _np.fromiter(map(math.log, column), _np.float64, n)
+        scale = math.exp(2.0)
+        """,
+    ) == set()
+
+
 def test_determinism_fires_on_method_reduction():
     assert rules_fired(
         "src/repro/engine/bad.py", "total = column.sum()\n"

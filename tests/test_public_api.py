@@ -9,6 +9,8 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import repro
 
 SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
@@ -68,10 +70,36 @@ def test_cold_cost_command_skips_the_batch_layers():
     )
     assert "numpy" not in loaded
     skipped = (
-        "repro.engine", "repro.search", "repro.scenario.runner",
-        "repro.corpus", "repro.analysis", "repro.service.app",
+        "repro.engine", "repro.search", "repro.scenario", "repro.corpus",
+        "repro.analysis", "repro.service", "repro.reuse", "repro.config",
     )
     assert not [m for m in loaded if m.startswith(skipped)]
+    unused = {
+        "repro.explore.decide", "repro.registry.nodes", "repro.registry.d2d",
+        "repro.registry.yieldmodels", "repro.registry.geometries",
+    }
+    assert not loaded & unused
+    assert "repro.explore.costquery" in loaded
+
+
+@pytest.mark.parametrize("flag, name, listed", [
+    ("--yield-model", "nope", "poisson"),
+    ("--wafer-geometry", "nope", "300mm"),
+])
+def test_cold_cost_with_unknown_override_lists_the_registry(flag, name, listed):
+    """An override name reaches ``repro.config`` lazily in a cold
+    process, and an unknown one is still a ``ConfigError`` listing the
+    registry's entries (exit 2, no traceback)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "cost", "--area", "400", flag, name],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cost: unknown ")
+    assert f"'{name}'" in proc.stderr and listed in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_served_cost_request_skips_numpy_and_the_column_kernels():
@@ -153,3 +181,18 @@ def test_docstrings_on_public_callables():
         if callable(item) and not getattr(item, "__doc__", None):
             undocumented.append(name)
     assert not undocumented, f"undocumented public items: {undocumented}"
+
+
+def test_pyproject_names_the_package_version_and_console_script():
+    """``pyproject.toml`` carries ``repro.__version__`` and installs
+    ``chiplet-actuary`` as the CLI's ``main``."""
+    import tomllib
+
+    from repro import cli
+
+    with open(pathlib.Path(SRC).parent / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["name"] == "chiplet-actuary"
+    assert project["version"] == repro.__version__
+    assert project["scripts"] == {"chiplet-actuary": "repro.cli:main"}
+    assert callable(cli.main)

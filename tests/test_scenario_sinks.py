@@ -223,3 +223,18 @@ class TestCLIWiring:
         path = self._write_spec(tmp_path)
         assert main(["run", path, "--sink-format", "json"]) == 2
         assert "directory" in capsys.readouterr().err
+
+    def test_unknown_sink_format_rejected_before_the_run(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = self._write_spec(tmp_path)
+        out_dir = tmp_path / "never"
+        assert main(["run", path, "--sink-dir", str(out_dir),
+                     "--sink-format", "xml"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown formats ['xml']" in captured.err
+        assert "'csv', 'json'" in captured.err
+        assert not out_dir.exists()

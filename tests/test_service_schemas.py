@@ -77,13 +77,28 @@ class TestCostRequest:
         )
 
     def test_overrides_and_key(self):
-        from repro.service.state import resolve_die_cost_fn
+        from repro.explore.costquery import resolve_die_cost_fn
 
         plain = CostRequest(area=100.0)
         assert resolve_die_cost_fn(plain, "cost") is None
         named = CostRequest(area=100.0, yield_model="poisson",
                             wafer_geometry="450mm")
         assert resolve_die_cost_fn(named, "cost") is not None
+
+
+def test_service_reexports_the_cost_query():
+    """The service's cost names are the campaign-layer objects the CLI
+    runs, not copies: wrapping ``schemas.CostRequest.from_dict`` or
+    ``state.evaluate_cost`` wraps what both interfaces call."""
+    from repro import service
+    from repro.explore import costquery
+    from repro.service import schemas, state
+
+    assert schemas.CostRequest is costquery.CostRequest
+    assert schemas.CostResult is costquery.CostResult
+    assert schemas.cost_table is costquery.cost_table
+    assert state.evaluate_cost is costquery.evaluate_cost
+    assert service.evaluate_cost is costquery.evaluate_cost
 
 
 class TestCostResult:

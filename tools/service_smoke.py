@@ -109,7 +109,7 @@ def start_server() -> tuple[subprocess.Popen, str]:
 
 def main() -> int:
     from repro.service.client import ServiceClient
-    from repro.service.schemas import CostResult, cost_table
+    from repro.explore.costquery import CostResult, cost_table
 
     server, url = start_server()
     print(f"server up at {url}", flush=True)
