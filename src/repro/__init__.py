@@ -34,9 +34,11 @@ __getattr__, __dir__, __all__ = name_table(__name__, {
     "repro.process.scaling": ("area_scale_factor", "scale_area"),
     "repro.process.defects": ("DefectLearningCurve",),
     "repro.yieldmodel.models": (
-        "NegativeBinomialYield", "SeedsYield", "PoissonYield", "MurphyYield",
-        "ExponentialYield", "BoseEinsteinYield", "GrossYield",
-        "yield_model_for_node",
+        "NegativeBinomialYield", "SeedsYield", "yield_model_for_node",
+    ),
+    "repro.yieldmodel.alternatives": (
+        "PoissonYield", "MurphyYield", "ExponentialYield", "BoseEinsteinYield",
+        "GrossYield",
     ),
     "repro.yieldmodel.composite": ("SerialYield", "overall_yield"),
     "repro.wafer.geometry": (

@@ -22,8 +22,9 @@ silently break that contract:
   ``datetime.now``) — results must be pure functions of the inputs;
 * numpy transcendental ufuncs — ``np.exp``/``log``/``sin``/``cos``/
   ``power`` and their relatives (numpy's own vector kernels round
-  differently from the libm call the oracle makes; ``sqrt`` is exact
-  and allowed);
+  differently from the libm call the oracle makes; map the libm
+  function with :func:`repro.libm.libm_map` instead; ``sqrt`` is
+  exact and allowed);
 * reassociating numpy reductions — ``np.sum``/``prod``/``dot``/
   ``matmul``/``einsum``/``nansum``, the statistics ``np.mean``/``std``/
   ``var``/``average``/``median``/``quantile``/``percentile`` (and
@@ -214,7 +215,8 @@ class ParityDeterminismRule(Rule):
                 call,
                 f"numpy transcendental {owner.id}.{func.attr}() is not "
                 "libm and may round differently from the oracle's math "
-                "call; map the libm function over the column instead",
+                "call; map the libm function over the column with "
+                "repro.libm.libm_map instead",
             )
             return
         if func.attr in _REASSOC_REDUCTIONS:

@@ -48,7 +48,7 @@ LAYERS: dict[str, int] = {
     # model core + leaf utilities
     "core": 0, "process": 0, "wafer": 0, "yieldmodel": 0, "packaging": 0,
     "d2d": 0, "reuse": 0, "reporting": 0, "data": 0, "errors": 0,
-    "ioutil": 0, "canon": 0, "lazy": 0,
+    "ioutil": 0, "canon": 0, "lazy": 0, "libm": 0,
     # registries & config
     "registry": 1, "config": 1,
     # batching engine

@@ -24,8 +24,6 @@ sums: a strictly sequential left fold, whatever the Python version.
 
 from __future__ import annotations
 
-import json
-
 
 def stable_json(value: object) -> str:
     """Canonical JSON of a JSON-ready value: sorted keys, compact
@@ -37,6 +35,8 @@ def stable_json(value: object) -> str:
     (``repro.service.cache``): two value-equal payloads always produce
     the same string, so hashes of it are stable content addresses.
     """
+    import json  # here, not at module scope: pricing needs only fold_sum
+
     return json.dumps(
         value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )

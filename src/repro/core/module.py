@@ -51,7 +51,7 @@ class Module:
     scalable_fraction: float = field(default=1.0)
 
     def __post_init__(self) -> None:
-        if self.area <= 0:
+        if not self.area > 0:  # NaN fails too
             raise InvalidParameterError(
                 f"module {self.name!r}: area must be > 0, got {self.area}"
             )

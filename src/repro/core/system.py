@@ -48,7 +48,7 @@ class System:
     def __post_init__(self) -> None:
         if not self.chips:
             raise EmptySystemError(f"system {self.name!r} has no chips")
-        if self.quantity <= 0:
+        if not self.quantity > 0:  # NaN fails too
             raise InvalidParameterError(
                 f"system {self.name!r}: quantity must be > 0, got {self.quantity}"
             )

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.d2d.interface import D2DInterface
 from repro.errors import InvalidParameterError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.d2d.interface import D2DInterface
 
 
 class D2DOverhead(ABC):

@@ -67,5 +67,21 @@ PACKAGING_DEFAULTS: dict[str, dict[str, float]] = {
     },
 }
 
+# 3D stacking (an extension beyond the paper, repro.packaging.stacked3d):
+# documented public estimates in the same spirit as the table above.
+STACK3D_DEFAULTS: dict[str, float] = {
+    "substrate_layers": 6,
+    "substrate_area_factor": 3.5,
+    "fixed_assembly_cost": 15.0,
+    "tsv_cost_per_mm2": 0.05,       # TSV + bond-interface processing
+    "stack_bond_yield": 0.98,       # per stacked die (hybrid bonding)
+    "final_yield": 0.99,
+    "nre_per_mm2": 4_000.0,
+    "nre_fixed": 8.0e6,             # TSV floorplan + thermal co-design
+}
+
+# Registry names of the paper's multi-chip technologies, in paper order.
+MULTICHIP_TECH_NAMES = ("mcm", "info", "2.5d")
+
 # USD per mm^2 per metal layer of organic build-up substrate.
 SUBSTRATE_COST_PER_MM2_PER_LAYER = 0.001

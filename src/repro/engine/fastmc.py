@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Sequence
 
 try:  # numpy accelerates the draw loop; the model never requires it
@@ -71,6 +70,7 @@ from repro.wafer.diecache import cached_die_cost
 from repro.engine.packaging_affine import linearize_packaging
 from repro.engine.rng import sample_prior, sample_prior_array
 from repro.errors import InvalidParameterError
+from repro.libm import libm_map
 from repro.packaging.base import PackagingAffine
 from repro.process.node import ProcessNode
 from repro.wafer.die import DieCost, DieSpec
@@ -235,11 +235,7 @@ class MonteCarloPlan:
                 base = 1.0 + defects / term.cluster_param
                 exponent = -term.cluster_param
                 # libm pow per element: bit-identical to the scalar `**`.
-                die_yield = _np.fromiter(
-                    map(pow, memoryview(base), repeat(exponent)),
-                    _np.float64,
-                    draws,
-                )
+                die_yield = libm_map(pow, base, exponent)
                 yield_cache[key] = die_yield
             total = term.raw / die_yield
             defect = total - term.raw

@@ -56,6 +56,7 @@ try:  # numpy enables the transplant; the model never requires it
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
+from repro.libm import libm_map
 from repro.yieldmodel.sampling import DefectDensityPrior
 
 TWOPI = 2.0 * math.pi
@@ -109,17 +110,14 @@ def _gauss_vector(rng, count, mu, sigma):
     cached = 1 if gauss_next is not None else 0
     fresh = (count - cached + 1) // 2  # Box-Muller pairs to generate
     uniforms = state.random_sample(2 * fresh)
-    # The per-element transcendentals iterate the float64 buffers via
-    # memoryview — each element surfaces as a plain Python float with
-    # no intermediate list, which is the cheapest bridge to libm.
-    angles = memoryview(uniforms[0::2] * TWOPI)
+    # The transcendentals run per element on libm (repro.libm).
+    angles = uniforms[0::2] * TWOPI
     # g = sqrt(-2 * log(1 - u2)): log per element on libm, the rest
     # (subtract, multiply, sqrt) is IEEE-exact and vectorizes.
-    one_minus = memoryview(1.0 - uniforms[1::2])
-    logs = _np.fromiter(map(math.log, one_minus), _np.float64, count=fresh)
+    logs = libm_map(math.log, 1.0 - uniforms[1::2])
     g2rad = _np.sqrt(-2.0 * logs)
-    cos_half = _np.fromiter(map(math.cos, angles), _np.float64, count=fresh)
-    sin_half = _np.fromiter(map(math.sin, angles), _np.float64, count=fresh)
+    cos_half = libm_map(math.cos, angles)
+    sin_half = libm_map(math.sin, angles)
     draws = _np.empty(cached + 2 * fresh)
     if cached:
         draws[0] = gauss_next
@@ -166,9 +164,7 @@ def _prior_vector(prior, rng, count):
     is skipped — it is the identity on ``exp``'s positive range).
     """
     scaled = _gauss_vector(rng, count, 0.0, 1.0) * prior.sigma
-    values = _np.fromiter(
-        map(math.exp, memoryview(scaled)), _np.float64, count=count
-    )
+    values = libm_map(math.exp, scaled)
     if prior.mode != 1.0:
         values = prior.mode * values
     if prior.lower is not None:

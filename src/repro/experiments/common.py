@@ -6,6 +6,7 @@ from typing import Callable
 
 from repro.core.re_cost import compute_re_cost
 from repro.core.system import System
+from repro.data.packaging_costs import MULTICHIP_TECH_NAMES
 from repro.explore.partition import soc_reference
 from repro.packaging.base import IntegrationTech
 from repro.process.catalog import get_node
@@ -17,9 +18,6 @@ PAPER_D2D_FRACTION = 0.10
 
 #: Scheme order used throughout the paper's figures.
 SCHEME_ORDER = ("SoC", "MCM", "InFO", "2.5D")
-
-#: Registry names of the paper's multi-chip technologies, paper order.
-MULTICHIP_TECH_NAMES = ("mcm", "info", "2.5d")
 
 
 def multichip_integrations() -> dict[str, IntegrationTech]:

@@ -26,6 +26,7 @@ schemas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -105,6 +106,17 @@ class CostRequest:
         {"area", "node", "integration", "chiplets", "d2d_fraction",
          "quantity", "yield_model", "wafer_geometry"}
     )
+
+    def __post_init__(self) -> None:
+        # Both interfaces build the request here: the CLI from its
+        # flags, the service through from_dict (JSON allows NaN and
+        # Infinity).  A NaN passes every ``<= 0`` check of the model.
+        for key in ("area", "d2d_fraction", "quantity"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"cost request.{key} must be a finite number, got {value}"
+                )
 
     @classmethod
     def from_dict(cls, payload: Any) -> "CostRequest":

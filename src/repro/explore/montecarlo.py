@@ -25,7 +25,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Callable
 
 try:  # numpy takes the statistics as columns; never required
@@ -38,6 +37,7 @@ from repro.core.re_cost import compute_re_cost
 from repro.core.system import System
 from repro.core.chip import Chip
 from repro.errors import InvalidParameterError
+from repro.libm import libm_map
 from repro.yieldmodel.sampling import DefectDensityPrior
 
 
@@ -101,15 +101,7 @@ class CostDistribution:
         else:
             # libm pow(|d|, 2.0) per element, which is what ``d ** 2``
             # calls (``d * d`` differs in the last bit for some d).
-            squared = _np.fromiter(
-                map(
-                    math.pow,
-                    memoryview(_np.abs(self._column - mu)),
-                    repeat(2.0),
-                ),
-                _np.float64,
-                n,
-            )
+            squared = libm_map(math.pow, _np.abs(self._column - mu), 2.0)
             squares = float(_np.cumsum(squared)[-1])
         return math.sqrt(squares / n)
 

@@ -18,7 +18,6 @@ from repro.core.system import System
 from repro.d2d.overhead import FractionOverhead
 from repro.errors import InvalidParameterError
 from repro.packaging.base import IntegrationTech
-from repro.packaging.soc import soc_package
 from repro.process.node import ProcessNode
 
 
@@ -50,6 +49,8 @@ def soc_reference(
     name: str | None = None,
 ) -> System:
     """Monolithic SoC holding the whole module area on one die."""
+    from repro.packaging.soc import soc_package
+
     label = name or soc_label(module_area, node)
     module = Module(f"{label}-module", module_area, node)
     die = Chip.of(f"{label}-die", (module,), node)

@@ -27,22 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.data.packaging_costs import STACK3D_DEFAULTS
 from repro.errors import InvalidParameterError
 from repro.packaging.base import IntegrationTech, PackagingAffine, bounds
 from repro.packaging.substrate import OrganicSubstrate
-
-#: Default parameters (documented public estimates, same spirit as
-#: repro.data.packaging_costs).
-STACK3D_DEFAULTS: dict[str, float] = {
-    "substrate_layers": 6,
-    "substrate_area_factor": 3.5,
-    "fixed_assembly_cost": 15.0,
-    "tsv_cost_per_mm2": 0.05,       # TSV + bond-interface processing
-    "stack_bond_yield": 0.98,       # per stacked die (hybrid bonding)
-    "final_yield": 0.99,
-    "nre_per_mm2": 4_000.0,
-    "nre_fixed": 8.0e6,             # TSV floorplan + thermal co-design
-}
 
 
 @dataclass(frozen=True)

@@ -21,17 +21,14 @@ format for technologies.
 
 from __future__ import annotations
 
+import functools
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.errors import RegistryError
 from repro.packaging.assembly import AssemblyFlow
 from repro.packaging.base import IntegrationTech
-from repro.packaging.info import InFO, info
-from repro.packaging.interposer import Interposer25D, interposer_25d
-from repro.packaging.mcm import MCM, mcm
-from repro.packaging.soc import SoCPackage, soc_package
-from repro.packaging.stacked3d import STACK3D_DEFAULTS, Stacked3D, stacked_3d
 from repro.registry.core import Registry, singleton
 
 _FLOW_NAMES = {
@@ -165,23 +162,37 @@ def technology_from_spec(
     return (registry or technology_registry()).create(base, **params)
 
 
+def _builtin(module: str, factory: str) -> Callable[..., IntegrationTech]:
+    """Builder for ``repro.packaging.<module>.<factory>`` that imports
+    the module on its first call, so naming one technology loads only
+    its own packaging module."""
+
+    def build(**params: Any) -> IntegrationTech:
+        home = importlib.import_module(f"repro.packaging.{module}")
+        return getattr(home, factory)(**params)
+
+    return build
+
+
 @singleton
 def technology_registry() -> TechnologyRegistry:
     """The process-wide technology registry with the paper's builtins."""
-    from repro.data.packaging_costs import PACKAGING_DEFAULTS
+    from repro.data.packaging_costs import PACKAGING_DEFAULTS, STACK3D_DEFAULTS
 
     registry = TechnologyRegistry()
     builtins = (
-        ("soc", "SoC", soc_package, PACKAGING_DEFAULTS["soc"], (),
+        ("soc", "SoC", _builtin("soc", "soc_package"),
+         PACKAGING_DEFAULTS["soc"], (),
          "single-die flip-chip package"),
-        ("mcm", "MCM", mcm, PACKAGING_DEFAULTS["mcm"], (),
+        ("mcm", "MCM", _builtin("mcm", "mcm"), PACKAGING_DEFAULTS["mcm"], (),
          "multi-chip module on an organic substrate"),
-        ("info", "InFO", info, PACKAGING_DEFAULTS["info"], ("flow",),
+        ("info", "InFO", _builtin("info", "info"), PACKAGING_DEFAULTS["info"],
+         ("flow",),
          "integrated fan-out on an RDL carrier"),
-        ("2.5d", "2.5D", interposer_25d, PACKAGING_DEFAULTS["interposer"],
-         ("flow", "active"),
+        ("2.5d", "2.5D", _builtin("interposer", "interposer_25d"),
+         PACKAGING_DEFAULTS["interposer"], ("flow", "active"),
          "chips on a silicon interposer (CoWoS-class)"),
-        ("3d", "3D", stacked_3d, STACK3D_DEFAULTS, (),
+        ("3d", "3D", _builtin("stacked3d", "stacked_3d"), STACK3D_DEFAULTS, (),
          "face-to-face 3D stack on a substrate"),
     )
     for name, label, builder, defaults, extra_keys, description in builtins:
@@ -220,8 +231,21 @@ def _substrate_layers(tech: Any) -> int:
     return tech.substrate.layers
 
 
+@functools.cache
+def _builtin_classes() -> tuple[type, ...]:
+    """The builtin technology classes, imported on first use."""
+    from repro.packaging.info import InFO
+    from repro.packaging.interposer import Interposer25D
+    from repro.packaging.mcm import MCM
+    from repro.packaging.soc import SoCPackage
+    from repro.packaging.stacked3d import Stacked3D
+
+    return SoCPackage, MCM, InFO, Interposer25D, Stacked3D
+
+
 def _spec_params(tech: IntegrationTech) -> dict[str, Any]:
     """Factory-parameter dict reconstructing ``tech`` via its builder."""
+    SoCPackage, MCM, InFO, Interposer25D, Stacked3D = _builtin_classes()
     if isinstance(tech, (SoCPackage, MCM)):
         return {
             "substrate_layers": _substrate_layers(tech),

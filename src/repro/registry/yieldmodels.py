@@ -1,7 +1,7 @@
 """Yield-model registry: the classical die-yield families by name.
 
 Entries are *families*, not bound instances: a registered model knows
-which :mod:`repro.yieldmodel.models` class it builds and which
+which :mod:`repro.yieldmodel` class it builds and which
 parameters it bakes in; parameters it leaves open (defect density,
 clustering) are bound from the :class:`~repro.process.node.ProcessNode`
 at pricing time via :meth:`YieldModelEntry.for_node`.  That keeps the
@@ -27,15 +27,14 @@ from typing import Any, Mapping
 from repro.errors import RegistryError
 from repro.process.node import ProcessNode
 from repro.registry.core import Registry, singleton
-from repro.yieldmodel.models import (
+from repro.yieldmodel.alternatives import (
     BoseEinsteinYield,
     ExponentialYield,
     GrossYield,
     MurphyYield,
-    NegativeBinomialYield,
     PoissonYield,
-    YieldModel,
 )
+from repro.yieldmodel.models import NegativeBinomialYield, YieldModel
 
 #: model kind -> (class, parameters bindable from the node).
 _MODEL_FAMILIES: dict[str, tuple[type, tuple[str, ...]]] = {
@@ -71,7 +70,7 @@ class YieldModelEntry:
             leave ``defect_density`` (and ``cluster_param`` for the
             negative binomial) open to bind from the node.
         gross_factor: Optional systematic-yield wrapper
-            (:class:`~repro.yieldmodel.models.GrossYield`); 1.0 = none.
+            (:class:`~repro.yieldmodel.alternatives.GrossYield`); 1.0 = none.
         description: One-line description for listings.
     """
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 from repro.errors import InvalidParameterError
+from repro.libm import libm_map
 from repro.process.node import ProcessNode
 
 try:  # columns vectorize with numpy; fall back to per-area loops
@@ -73,11 +73,7 @@ def die_cost_columns(node: ProcessNode, areas) -> DieColumns:
         defects = (node.defect_density * areas) / 100.0
         bases = 1.0 + defects / node.cluster_param
         # libm pow per element, never numpy's SIMD power (last-ulp parity)
-        die_yield = _np.fromiter(
-            map(pow, memoryview(bases), repeat(exponent)),
-            _np.float64,
-            len(bases),
-        )
+        die_yield = libm_map(pow, bases, exponent)
         raw = node.wafer_price / dies
         total = raw / die_yield
         return DieColumns(raw, total - raw, total, die_yield)

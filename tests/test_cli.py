@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from repro.cli import _parse_areas, main
+from repro.cli import main
+from repro.cli.study import _parse_areas
 from repro.config import save_portfolio
 from repro.packaging.mcm import mcm
 from repro.reuse.scms import SCMSConfig, build_scms
@@ -91,6 +92,23 @@ def test_figure_commands(capsys, figure):
 def test_unknown_figure_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["figure", "3"])
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--area", "nan", "area"),
+    ("--area", "inf", "area"),
+    ("--d2d", "nan", "d2d_fraction"),
+    ("--quantity", "nan", "quantity"),
+    ("--quantity", "inf", "quantity"),
+])
+def test_non_finite_cost_input_is_a_typed_error(capsys, flag, value, field):
+    code, out, err = run_cli(
+        capsys, "cost", "--area", "400", "--integration", "mcm", flag, value
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cost request.{field} must be a finite number, got {value}\n"
+    )
 
 
 def test_unknown_node_is_clean_error(capsys):

@@ -27,6 +27,10 @@ class TestModule:
         with pytest.raises(InvalidParameterError):
             Module("m", 0.0, n7)
 
+    def test_nan_area_rejected(self, n7):
+        with pytest.raises(InvalidParameterError, match="area must be > 0"):
+            Module("m", float("nan"), n7)
+
     def test_invalid_fraction_rejected(self, n7):
         with pytest.raises(InvalidParameterError):
             Module("m", 100.0, n7, scalable_fraction=2.0)

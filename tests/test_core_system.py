@@ -40,6 +40,15 @@ class TestConstruction:
                 quantity=0,
             )
 
+    def test_nan_quantity_rejected(self, simple_chiplet, mcm_tech):
+        with pytest.raises(InvalidParameterError, match="quantity must be > 0"):
+            System(
+                name="x",
+                chips=(simple_chiplet,),
+                integration=mcm_tech,
+                quantity=float("nan"),
+            )
+
     def test_soc_package_rejects_two_chips(self, simple_chiplet, soc_pkg):
         with pytest.raises(InvalidParameterError):
             System(

@@ -2,6 +2,7 @@
 reachable from a single `import repro`, and that import stays cheap."""
 
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -80,6 +81,70 @@ def test_cold_cost_command_skips_the_batch_layers():
     }
     assert not loaded & unused
     assert "repro.explore.costquery" in loaded
+
+
+_COLD_COST_PROBE = """
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+modules = {
+    name: module for name, module in sys.modules.items()
+    if name == "repro" or name.startswith("repro.")
+}
+lines = 0
+for module in modules.values():
+    with open(module.__file__) as handle:
+        lines += sum(1 for _ in handle)
+dataclasses = {
+    id(value)
+    for name, module in modules.items()
+    for value in vars(module).values()
+    if isinstance(value, type) and value.__module__ == name
+    and "__dataclass_fields__" in vars(value)
+}
+print(json.dumps({"modules": sorted(modules), "lines": lines,
+                  "dataclasses": len(dataclasses)}))
+"""
+
+#: The packaging module that defines each technology ``cost`` accepts.
+_PACKAGING_MODULE = {
+    "soc": "soc", "mcm": "mcm", "info": "info", "2.5d": "interposer",
+}
+
+
+@pytest.mark.parametrize("integration", sorted(_PACKAGING_MODULE))
+def test_cold_cost_loads_only_the_named_technology(integration):
+    """A cold ``repro cost`` compiles the dispatcher, the ``cost``
+    command and the one technology it prices: no other command module,
+    no experiments, no other technology's packaging module (``mcm`` and
+    ``info`` are the packaging package's eager exports) and no
+    alternate yield model.  Line and dataclass counts pin the size of
+    what it compiles and builds."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_COST_PROBE, "cost", "--area", "400",
+         "--integration", integration, "--chiplets", "2"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    probe = json.loads(proc.stdout)
+    loaded = set(probe["modules"])
+    assert {m for m in loaded if m.startswith("repro.cli")} == {
+        "repro.cli", "repro.cli.cost"
+    }
+    assert not [m for m in loaded if m.startswith("repro.experiments")]
+    assert "repro.yieldmodel.alternatives" not in loaded
+    packaging = {
+        m.rpartition(".")[2] for m in loaded
+        if m.startswith("repro.packaging.")
+    }
+    assert packaging <= {
+        "base", "assembly", "substrate", "mcm", "info",
+        _PACKAGING_MODULE[integration],
+    }
+    assert _PACKAGING_MODULE[integration] in packaging
+    assert probe["lines"] <= 4500
+    assert probe["dataclasses"] <= 27
 
 
 @pytest.mark.parametrize("flag, name, listed", [

@@ -20,12 +20,8 @@ from repro.registry.yieldmodels import (
     yield_model_to_spec,
 )
 from repro.wafer.geometry import WaferGeometry
-from repro.yieldmodel.models import (
-    GrossYield,
-    NegativeBinomialYield,
-    PoissonYield,
-    yield_model_for_node,
-)
+from repro.yieldmodel.alternatives import GrossYield, PoissonYield
+from repro.yieldmodel.models import NegativeBinomialYield, yield_model_for_node
 
 
 class TestYieldModelRegistry:
@@ -181,7 +177,7 @@ class TestScenarioConsumption:
         from repro.explore.partition import partition_monolith
         from repro.scenario import run_scenario
         from repro.wafer.die import DieSpec, die_cost
-        from repro.yieldmodel.models import GrossYield, PoissonYield
+        from repro.yieldmodel.alternatives import GrossYield, PoissonYield
 
         custom = run_scenario(
             self._spec(yield_model="p97", wafer_geometry="prod")

@@ -246,6 +246,26 @@ class TestCostEndpoint:
         assert excinfo.value.status == 400
         assert "no-such-model" in str(excinfo.value)
 
+    @pytest.mark.parametrize("body, field", [
+        (b'{"area": NaN}', "area"),
+        (b'{"area": Infinity}', "area"),
+        (b'{"area": 400, "d2d_fraction": NaN, "integration": "mcm"}',
+         "d2d_fraction"),
+        (b'{"area": 400, "quantity": -Infinity}', "quantity"),
+    ])
+    def test_non_finite_number_400(self, service, body, field):
+        """JSON's NaN and Infinity are typed 400s, not a 500 from deep
+        in the die math."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_raw(service, "/v1/cost", body)
+        error = json.loads(excinfo.value.read())["error"]
+        excinfo.value.close()
+        assert excinfo.value.code == 400
+        assert error["type"] == "InvalidParameterError"
+        assert error["message"].startswith(
+            f"cost request.{field} must be a finite number, got "
+        )
+
 
 SCENARIO_DOC = {
     "name": "service-app-test",

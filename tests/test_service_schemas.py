@@ -2,6 +2,7 @@
 keys, and the shared CLI/HTTP cost table."""
 
 import json
+import math
 
 import pytest
 
@@ -58,6 +59,18 @@ class TestCostRequest:
             CostRequest.from_dict({"area": 1, "node": 7})
         with pytest.raises(InvalidParameterError, match="area"):
             CostRequest.from_dict({"area": True})
+
+    @pytest.mark.parametrize("key", ["area", "d2d_fraction", "quantity"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, key, value):
+        """The one check both interfaces pass through: the CLI builds
+        the request from its flags, the service through from_dict."""
+        payload = {"area": 400.0, key: value}
+        message = f"cost request.{key} must be a finite number"
+        with pytest.raises(InvalidParameterError, match=message):
+            CostRequest.from_dict(payload)
+        with pytest.raises(InvalidParameterError, match=message):
+            CostRequest(**payload)
 
     def test_non_mapping(self):
         with pytest.raises(InvalidParameterError, match="JSON object"):

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.process.catalog import get_node
 from repro.wafer.die import DieCost, DieSpec, die_cost
-from repro.yieldmodel.models import PoissonYield
+from repro.yieldmodel.alternatives import PoissonYield
 
 
 class TestDieSpec:

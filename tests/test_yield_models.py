@@ -6,13 +6,15 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.process.catalog import get_node
-from repro.yieldmodel.models import (
+from repro.yieldmodel.alternatives import (
     BoseEinsteinYield,
     ExponentialYield,
     GrossYield,
     MurphyYield,
-    NegativeBinomialYield,
     PoissonYield,
+)
+from repro.yieldmodel.models import (
+    NegativeBinomialYield,
     SeedsYield,
     yield_model_for_node,
 )
