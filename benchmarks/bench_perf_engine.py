@@ -197,7 +197,6 @@ def _portfolio_volume_sweep_case(
     ``Portfolio`` oracle) vs one ``PortfolioEngine`` decomposition
     re-scaled in closed form.  Asserts bit parity of every per-system
     total and every portfolio average before reporting."""
-    from repro.engine import CostEngine
     from repro.engine.fastportfolio import PortfolioEngine
     from repro.packaging.mcm import mcm
     from repro.reuse.fsmc import FSMCConfig, build_fsmc
@@ -228,7 +227,7 @@ def _portfolio_volume_sweep_case(
             naive.append(portfolio.average_cost())
     naive_s = time.perf_counter() - start
 
-    engine = PortfolioEngine(CostEngine())
+    engine = PortfolioEngine()
     start = time.perf_counter()
     study = build_fsmc(config(1.0), tech)
     fast: list[float] = []
@@ -297,13 +296,12 @@ def _portfolio_thousand_case(n_systems: int, points: int) -> dict:
     vs the numpy-vectorized multi-scale solve, on one shared
     decomposition of a synthetic ``n_systems``-member portfolio.
     Asserts bit parity of every per-system total and every average."""
-    from repro.engine import CostEngine
     from repro.engine.fastportfolio import PortfolioEngine
 
     portfolio = synthetic_portfolio(n_systems)
     scales = [0.25 + 3.75 * i / max(1, points - 1) for i in range(points)]
 
-    engine = PortfolioEngine(CostEngine())
+    engine = PortfolioEngine()
     # Decompose up front: both paths share the decomposition, so the
     # timing isolates the per-scale share-sum/accumulation work.
     decomposition = engine.decompose(portfolio)

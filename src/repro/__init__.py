@@ -71,7 +71,7 @@ __getattr__, __dir__, __all__ = name_table(__name__, {
         "granularity_marginal_utility", "package_reuse_break_even",
         "moore_limit_proximity",
     ),
-    "repro.engine.costengine": ("CostEngine", "default_engine"),
+    "repro.engine.costengine": ("CostEngine",),
     "repro.engine.fastportfolio": ("PortfolioEngine",),
     "repro.wafer.diecache": ("cached_die_cost",),
     "repro.registry.nodes": ("node_registry", "register_node"),

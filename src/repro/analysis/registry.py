@@ -62,11 +62,6 @@ def all_rules() -> list[Rule]:
     return [_RULES[rule_id]() for rule_id in sorted(_RULES)]
 
 
-def get_rule(rule_id: str) -> type[Rule]:
-    _ensure_loaded()
-    return _RULES[rule_id]
-
-
 def _ensure_loaded() -> None:
     # Importing the rules package registers every built-in rule; done
     # lazily so context/registry stay importable without the rule set.

@@ -9,6 +9,7 @@ command that runs.
 from __future__ import annotations
 
 import argparse
+import math
 
 from repro.cli.cost import add_design_arguments, add_yield_arguments
 from repro.data.packaging_costs import MULTICHIP_TECH_NAMES
@@ -187,7 +188,7 @@ def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _sweep(args: argparse.Namespace) -> int:
     from repro.config import ConfigRegistries
-    from repro.engine import default_engine
+    from repro.engine.costengine import CostEngine
     from repro.experiments.common import multichip_integrations
     from repro.packaging.soc import soc_package
     from repro.process.catalog import get_node
@@ -196,8 +197,14 @@ def _sweep(args: argparse.Namespace) -> int:
     die_cost_fn = ConfigRegistries().die_cost_fn(
         args.yield_model, args.wafer_geometry, context="sweep"
     )
-    engine = default_engine()
+    engine = CostEngine()
     node = get_node(args.node)
+    for flag in ("start", "stop", "step"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise InvalidParameterError(
+                f"--{flag} must be a finite number, got {value:g}"
+            )
     step = int(args.step)
     if step == 0:
         raise InvalidParameterError(

@@ -121,8 +121,7 @@ class ConfigRegistries:
         sensitivity and reuse studies, plus the CLI — so "accepts a
         ``yield_model`` / ``wafer_geometry`` name" means the same thing
         everywhere.  Returns ``None`` when both names are empty (the
-        caller keeps its default pricing and the engine's identity-keyed
-        hot cache stays in play), else a ``(node, area) -> DieCost``
+        caller keeps its default pricing), else a ``(node, area) -> DieCost``
         closure over the memoized die-cost layer.  Unknown names raise
         :class:`~repro.errors.ConfigError` listing the available
         entries, prefixed with ``context`` (typically the study name).

@@ -21,7 +21,6 @@ from repro.core.breakdown import ChipREDetail, RECost
 from repro.core.chip import Chip
 from repro.core.system import System
 from repro.wafer.diecache import cached_die_cost
-from repro.packaging.base import PackagingCost
 from repro.process.node import ProcessNode
 from repro.wafer.die import DieCost, DieSpec
 
@@ -38,20 +37,18 @@ def chip_kgd_cost(chip: Chip) -> float:
 def compute_re_cost(
     system: System,
     die_cost_fn: Callable[[ProcessNode, float], DieCost] | None = None,
-    packaging_cost_fn: Callable[[float], PackagingCost] | None = None,
 ) -> RECost:
     """RE cost of one unit of ``system``, itemized the paper's way.
 
     Die costs come from the memoized layer (``repro.wafer.diecache``),
     so a chip priced here and again by a sweep or a sibling system is
-    derived once.  The two hooks exist so the batch engine can supply
-    its hotter caches without duplicating this accumulation:
+    derived once.
 
     Args:
         system: The system to price.
-        die_cost_fn: Optional ``(node, area) -> DieCost`` override.
-        packaging_cost_fn: Optional ``(kgd_total) -> PackagingCost``
-            override (e.g. a cached affine decomposition).
+        die_cost_fn: Optional ``(node, area) -> DieCost`` override
+            (registry-named yield models / wafer geometries, resolved
+            by :meth:`repro.config.ConfigRegistries.die_cost_fn`).
     """
     price_die = die_cost_fn if die_cost_fn is not None else _default_die_cost
     details: list[ChipREDetail] = []
@@ -73,9 +70,7 @@ def compute_re_cost(
         chip_defects += cost.defect * count
         kgd_total += cost.total * count
 
-    if packaging_cost_fn is not None:
-        packaging = packaging_cost_fn(kgd_total)
-    elif system.package is not None:
+    if system.package is not None:
         packaging = system.package.packaging_cost(system.chip_areas, kgd_total)
     else:
         packaging = system.integration.packaging_cost(system.chip_areas, kgd_total)

@@ -11,9 +11,9 @@ it applies the env-gated fault hooks (crash / delay — see
 ``repro.corpus.faults``), reports ``("ok", payload)`` or
 ``("err", type, message)`` on its pipe, and otherwise dies silently the
 way a real worker death looks to the parent.  Forked workers inherit
-the parent's warmed :func:`~repro.engine.costengine.default_engine`
-caches, which is safe because every engine cache is value-keyed and
-parity-tested — a cache hit is bit-identical to a cold evaluation.
+the parent's warm die-cost memo (``repro.wafer.diecache``), which is
+safe because it is value-keyed and parity-tested — a cache hit is
+bit-identical to a cold evaluation.
 """
 
 from __future__ import annotations

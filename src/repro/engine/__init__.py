@@ -6,10 +6,10 @@ The layers, documented in PERFORMANCE.md:
   density, wafer geometry, yield model) tuple — re-exported from
   ``repro.wafer.diecache``, which lives beside the cost it memoizes so
   core never imports upward from the engine;
-* ``repro.engine.costengine`` — :class:`CostEngine` batch API
-  (``evaluate_re`` / ``evaluate_many`` / ``partition_sweep`` /
-  ``partition_grid``), which ``repro.explore``, the scenario runner
-  and the CLI route through;
+* ``repro.engine.costengine`` — :class:`CostEngine`, a stateless
+  front-end for equal-partition studies (``partition_sweep`` /
+  ``partition_grid``), which the figures, the scenario runner and the
+  CLI ``sweep`` route through;
 * ``repro.engine.partition_columns`` — the equal-partition kernel:
   chip areas, die costs and per-chip sums of ``n`` equal chiplets (or
   the SoC reference) as columns over module areas, shared by
@@ -36,7 +36,7 @@ __getattr__, __dir__, __all__ = name_table(__name__, {
     "repro.packaging.base": ("PackagingAffine",),
     "repro.engine.packaging_affine": ("linearize_packaging",),
     "repro.engine.costengine": (
-        "CostEngine", "GridPoint", "GridResult", "default_engine",
+        "CostEngine", "GridPoint", "GridResult",
     ),
     "repro.engine.fastmc": ("MonteCarloPlan", "sample_re_costs"),
     "repro.engine.rng": ("gauss_fill", "sample_prior", "sample_prior_array"),

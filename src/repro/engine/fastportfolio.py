@@ -17,8 +17,8 @@ the design units is the bottleneck.
 This module evaluates portfolios in three increasingly batched forms:
 
 * :meth:`PortfolioEngine.decompose` reduces a portfolio once to
-  memoized per-system RE costs (priced through the shared
-  :class:`~repro.engine.costengine.CostEngine` caches) plus shared
+  memoized per-system RE costs (priced by
+  :func:`~repro.core.re_cost.compute_re_cost`) plus shared
   design-unit NRE vectors — each design's NRE with the ordered
   per-system quantities contributing to its amortization denominator;
 * :meth:`PortfolioDecomposition.evaluate` prices every member at one
@@ -43,10 +43,9 @@ portfolio would use — zero-padded matrix slots are exact no-ops under
 IEEE-754 ``x + 0.0``.  Without numpy, :meth:`solve` falls back to the
 scalar path and stays correct, just not thousand-system fast.
 
-RE pricing accepts the same ``die_cost_fn`` override as
-:meth:`CostEngine.evaluate_re`, which is how scenario ``reuse`` studies
-price portfolios under registry-named yield models / wafer geometries
-(``repro.registry``).
+RE pricing accepts ``compute_re_cost``'s ``die_cost_fn`` override,
+which is how scenario ``reuse`` studies price portfolios under
+registry-named yield models / wafer geometries (``repro.registry``).
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.canon import fold_sum
 from repro.core.breakdown import NRECost, RECost, TotalCost
-from repro.engine.costengine import CostEngine, default_engine
+from repro.core.re_cost import compute_re_cost
 from repro.errors import InvalidParameterError
 from repro.reuse.keys import package_design_key
 from repro.reuse.portfolio import Portfolio, _DesignUnit
@@ -66,7 +65,7 @@ try:  # numpy accelerates multi-scale solves; the model never requires it
 except ImportError:  # pragma: no cover - exercised via monkeypatch
     _np = None
 
-#: Decomposition entries kept per engine before a full reset.
+#: Decomposition entries kept per portfolio engine before a full reset.
 _DECOMPOSITION_CACHE_MAXSIZE = 1024
 
 
@@ -274,17 +273,15 @@ class PortfolioDecomposition:
     def __init__(
         self,
         portfolio: Portfolio,
-        engine: CostEngine,
         die_cost_fn: "Callable | None" = None,
     ):
         self.portfolio = portfolio
         systems = portfolio.systems
-        #: Per-system RE cost through the batch engine's caches
-        #: (bit-identical to ``compute_re_cost``), optionally priced
-        #: under a custom die-cost override (named yield model / wafer
-        #: geometry resolved from ``repro.registry``).
+        #: Per-system RE cost, optionally priced under a custom
+        #: die-cost override (named yield model / wafer geometry
+        #: resolved from ``repro.registry``).
         self.re: tuple[RECost, ...] = tuple(
-            engine.evaluate_re(system, die_cost_fn=die_cost_fn)
+            compute_re_cost(system, die_cost_fn=die_cost_fn)
             for system in systems
         )
         #: Per-system design-key tuples, in the oracle's summation order.
@@ -461,19 +458,12 @@ class PortfolioDecomposition:
 
 
 class PortfolioEngine:
-    """Batched portfolio evaluation with shared memoization.
+    """Batched portfolio evaluation over cached decompositions."""
 
-    Args:
-        engine: The :class:`CostEngine` RE evaluations route through
-            (default: the process-wide engine, sharing its warm caches).
-    """
-
-    def __init__(self, engine: CostEngine | None = None):
-        self.engine = engine if engine is not None else default_engine()
-        # Identity-keyed (with `is`-verified entries, like the engine's
-        # hot caches): portfolios are eq-by-identity objects, and a
-        # die-cost override changes every RE price, so it is part of
-        # the key.
+    def __init__(self):
+        # Identity-keyed with `is`-verified entries: portfolios are
+        # eq-by-identity objects, and a die-cost override changes every
+        # RE price, so it is part of the key.
         self._decompositions: dict[
             tuple[int, int],
             tuple[Portfolio, "Callable | None", PortfolioDecomposition],
@@ -488,7 +478,7 @@ class PortfolioEngine:
     ) -> PortfolioDecomposition:
         """The (cached) decomposition of ``portfolio``.
 
-        ``die_cost_fn`` optionally replaces the engine's die pricing;
+        ``die_cost_fn`` optionally replaces the default die pricing;
         decompositions are cached per (portfolio, override) pair.
         """
         key = (id(portfolio), id(die_cost_fn))
@@ -496,7 +486,7 @@ class PortfolioEngine:
         if entry is not None and entry[0] is portfolio and entry[1] is die_cost_fn:
             return entry[2]
         decomposition = PortfolioDecomposition(
-            portfolio, self.engine, die_cost_fn=die_cost_fn
+            portfolio, die_cost_fn=die_cost_fn
         )
         if len(self._decompositions) >= _DECOMPOSITION_CACHE_MAXSIZE:
             self._decompositions.clear()
@@ -527,5 +517,6 @@ class PortfolioEngine:
         return self.decompose(portfolio, die_cost_fn).solve(scales)
 
     def clear_caches(self) -> None:
-        """Drop cached decompositions (the cost engine keeps its own)."""
+        """Drop cached decompositions (die costs stay in
+        ``repro.wafer.diecache``)."""
         self._decompositions.clear()

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.re_cost import compute_re_cost
-from repro.core.system import System
 from repro.data.packaging_costs import MULTICHIP_TECH_NAMES
 from repro.explore.partition import soc_reference
 from repro.packaging.base import IntegrationTech
@@ -34,15 +31,3 @@ def reference_soc_re(node: ProcessNode | str, area: float = 100.0) -> float:
     100 mm^2 SoC of the same node)."""
     resolved = get_node(node)
     return compute_re_cost(soc_reference(area, resolved)).total
-
-
-def normalizer_from(system: System) -> float:
-    """Total RE cost of a system, used as a normalization reference."""
-    return compute_re_cost(system).total
-
-
-def named_builder(
-    label: str, builder: Callable[[], System]
-) -> tuple[str, Callable[[], System]]:
-    """Tiny helper keeping (label, builder) pairs readable."""
-    return label, builder

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.breakdown import RECost
-from repro.engine.costengine import default_engine
+from repro.engine.costengine import CostEngine
 from repro.experiments.common import (
     PAPER_D2D_FRACTION,
     multichip_integrations,
@@ -74,7 +74,7 @@ def run_fig4(
     d2d_fraction: float = PAPER_D2D_FRACTION,
 ) -> list[Fig4Panel]:
     """Regenerate the Figure 4 grid (one engine grid per node/scheme)."""
-    engine = default_engine()
+    engine = CostEngine()
     integrations = multichip_integrations()
     panels = []
     for node_ref in nodes:

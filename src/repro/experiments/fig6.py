@@ -19,7 +19,7 @@ from typing import Sequence
 
 from repro.core.breakdown import TotalCost
 from repro.core.total import compute_total_cost
-from repro.engine.costengine import default_engine
+from repro.engine.costengine import CostEngine
 from repro.experiments.common import PAPER_D2D_FRACTION, multichip_integrations
 from repro.explore.partition import partition_monolith, soc_reference
 from repro.process.catalog import get_node
@@ -82,7 +82,7 @@ def run_fig6(
     d2d_fraction: float = PAPER_D2D_FRACTION,
 ) -> Fig6Result:
     """Regenerate the Figure 6 bars."""
-    engine = default_engine()
+    engine = CostEngine()
     entries = []
     for node_ref in nodes:
         node = get_node(node_ref)

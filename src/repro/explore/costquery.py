@@ -4,7 +4,7 @@
 :func:`evaluate_cost` prices it into a :class:`CostResult`, and
 :func:`cost_table` renders the result.  The CLI prints that table, and
 the service (:mod:`repro.service`) parses JSON into the same request,
-prices it with the same function on its warm engine, and its JSON
+prices it with the same function, and its JSON
 re-renders to the same table: CLI and HTTP outputs are parity by
 construction (``tools/service_smoke.py`` holds the line).
 
@@ -252,7 +252,7 @@ def resolve_die_cost_fn(request: CostRequest, context: str) -> Any:
     """The die pricing a request's ``yield_model`` / ``wafer_geometry``
     names select, resolved through the global registries by
     :meth:`repro.config.ConfigRegistries.die_cost_fn` (``None``: the
-    engine's default pricing, returned before the config is imported).
+    default pricing, returned before the config is imported).
     Unknown names raise :class:`~repro.errors.ConfigError`."""
     if not request.yield_model and not request.wafer_geometry:
         return None
@@ -263,21 +263,16 @@ def resolve_die_cost_fn(request: CostRequest, context: str) -> Any:
     )
 
 
-def evaluate_cost(request: CostRequest, engine: Any = None) -> CostResult:
-    """Price one request; with ``engine`` the warm cached path (the
-    service), without it the plain core-function path (the CLI).  Both
-    are bit-identical by the engine's parity contract
-    (``tests/test_engine.py``)."""
+def evaluate_cost(request: CostRequest) -> CostResult:
+    """Price one request: the one function behind ``repro cost`` and
+    ``POST /v1/cost``."""
+    from repro.core.re_cost import compute_re_cost
     from repro.core.total import compute_total_cost
 
     system = build_system(request)
-    price_die = resolve_die_cost_fn(request, "cost")
-    if engine is None:
-        from repro.core.re_cost import compute_re_cost
-
-        re = compute_re_cost(system, die_cost_fn=price_die)
-    else:
-        re = engine.evaluate_re(system, die_cost_fn=price_die)
+    re = compute_re_cost(
+        system, die_cost_fn=resolve_die_cost_fn(request, "cost")
+    )
     total = compute_total_cost(system, re_cost=re)
     return CostResult(
         system=system.name,

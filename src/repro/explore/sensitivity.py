@@ -1,9 +1,9 @@
 """One-at-a-time parameter sensitivity (tornado analysis).
 
 Perturbs each named model parameter by +/- a relative step, prices the
-perturbed systems on the batch engine, and reports the swing.  The
-scenario ``sensitivity`` study uses it to show which assumptions the
-paper's conclusions hinge on.
+perturbed systems, and reports the swing.  The scenario ``sensitivity``
+study uses it to show which assumptions the paper's conclusions hinge
+on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import System
-    from repro.engine.costengine import CostEngine
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,9 @@ def system_tornado(
     parameters: Sequence[str],
     builder: Callable[[str, float], "System"],
     step: float = 0.2,
-    engine: "CostEngine | None" = None,
     die_cost_fn: Callable | None = None,
 ) -> list[SensitivityResult]:
-    """Tornado study over systems, evaluated on the batch engine.
+    """Tornado study over systems.
 
     Args:
         parameters: Parameter names to perturb.
@@ -60,28 +58,29 @@ def system_tornado(
             ``scale`` multiplies the nominal parameter value (1.0 =
             nominal).
         step: Relative perturbation (0.2 = +/-20%).
-        engine: The engine to price on (default: the process-wide one).
         die_cost_fn: Optional die-pricing override applied to every
             evaluation (registry-named yield models / wafer geometries).
 
-    All ``3 * len(parameters)`` evaluations run as one ``evaluate_many``
-    batch (shared caches) with the per-unit RE total as the metric.
+    All ``3 * len(parameters)`` systems are priced by
+    :func:`~repro.core.re_cost.compute_re_cost`, with the per-unit RE
+    total as the metric.
 
     Returns:
         Results sorted by swing, largest first.
     """
-    from repro.engine.costengine import default_engine
+    from repro.core.re_cost import compute_re_cost
 
     if not parameters:
         raise InvalidParameterError("need at least one parameter")
     if not 0.0 < step < 1.0:
         raise InvalidParameterError(f"step must be in (0, 1), got {step}")
-    eng = engine if engine is not None else default_engine()
     scales = (1.0, 1.0 - step, 1.0 + step)
     systems = [
         builder(parameter, scale) for parameter in parameters for scale in scales
     ]
-    costs = eng.evaluate_many(systems, die_cost_fn=die_cost_fn)
+    costs = [
+        compute_re_cost(system, die_cost_fn=die_cost_fn) for system in systems
+    ]
     results = []
     for index, parameter in enumerate(parameters):
         base, low, high = (

@@ -36,7 +36,8 @@ from typing import Any, Callable, Mapping
 from repro.canon import fold_sum
 from repro.config import ConfigRegistries, build_registries, portfolio_from_dict
 from repro.core.system import System
-from repro.engine.costengine import CostEngine, default_engine
+from repro.core.re_cost import compute_re_cost
+from repro.engine.costengine import CostEngine
 from repro.errors import ConfigError, RegistryError, StudyError
 from repro.explore.partition import partition_monolith, soc_reference
 from repro.process.node import ProcessNode
@@ -101,16 +102,16 @@ class ScenarioRunner:
     """Executes :class:`~repro.scenario.spec.ScenarioSpec` objects.
 
     Args:
-        engine: Batch engine evaluations route through (default: the
-            process-wide engine, sharing its warmed caches).
+        engine: The partition-study engine (default: a new
+            :class:`CostEngine`; it keeps no state).
     """
 
     def __init__(self, engine: CostEngine | None = None):
-        self.engine = engine if engine is not None else default_engine()
+        self.engine = engine if engine is not None else CostEngine()
         from repro.engine.fastportfolio import PortfolioEngine
 
         #: Reuse studies route through this batched portfolio engine.
-        self.portfolio_engine = PortfolioEngine(self.engine)
+        self.portfolio_engine = PortfolioEngine()
 
     # ------------------------------------------------------------------
 
@@ -239,8 +240,7 @@ class ScenarioRunner:
 
         Delegates to :meth:`ConfigRegistries.die_cost_fn` (the shared
         resolution point for scenario studies, config documents and the
-        CLI); returns ``None`` when the study keeps the defaults, so
-        the engine's identity-keyed hot cache stays in play.
+        CLI); returns ``None`` when the study keeps the defaults.
         """
         return registries.die_cost_fn(
             getattr(study, "yield_model", ""),
@@ -386,7 +386,7 @@ def _run_systems(
     )
     rows = []
     for system in portfolio.systems:
-        re_cost = runner.engine.evaluate_re(system, die_cost_fn=die_cost_fn)
+        re_cost = compute_re_cost(system, die_cost_fn=die_cost_fn)
         if study.metric == "total":
             cost = TotalCost(
                 re=re_cost,
@@ -632,7 +632,6 @@ def _run_sensitivity(
         study.parameters,
         builder,
         step=study.step,
-        engine=runner.engine,
         die_cost_fn=runner._die_cost_override(registries, study),
     )
     table = Table(

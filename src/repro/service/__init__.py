@@ -8,9 +8,9 @@ instead.  Five pieces (docs/SERVICE.md walks through them):
   its cost part is :mod:`repro.explore.costquery`, which ``repro
   cost`` runs without loading this package, so the CLI's table and the
   one the service's JSON re-renders to agree byte-for-byte;
-* :mod:`repro.service.state` — the process-wide warm
-  :class:`~repro.engine.costengine.CostEngine` behind an explicit lock
-  discipline;
+* :mod:`repro.service.state` — the registry view, the request counter
+  and the lock that serializes cost batches (a scenario run takes it
+  only to count itself);
 * :mod:`repro.service.batching` — one worker prices queued cost
   queries: a lone request is dispatched at once, and whatever queued
   while the worker was busy becomes one batch, bit-identical to

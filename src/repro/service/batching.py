@@ -2,7 +2,7 @@
 
 ``ThreadingHTTPServer`` gives every connection its own thread.  Left
 alone, N concurrent ``POST /v1/cost`` handlers would contend for the
-engine lock one evaluation at a time.  :class:`CostBatcher` funnels
+state lock one evaluation at a time.  :class:`CostBatcher` funnels
 them through a bounded queue instead: a single worker thread blocks for
 the first request, then takes whatever else is already queued — no
 window, no size cap — and prices the batch with one call into

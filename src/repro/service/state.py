@@ -1,33 +1,28 @@
-"""Process-wide service state: one warm engine behind one lock.
+"""Process-wide service state: a registry view, counters and one lock.
 
-The service's whole reason to exist is cache warmth — a cold ``repro
-cost`` process pays interpreter start-up, imports and empty caches on
-every invocation, while a resident :class:`~repro.engine.costengine.
-CostEngine` answers from its identity-keyed die/packaging caches.
-:class:`ServiceState` owns that engine plus the registry snapshot and
-fronts them with an explicit lock discipline:
+The service's reason to exist is warmth — a cold ``repro cost``
+process pays interpreter start-up, imports and empty caches on every
+invocation, while a resident process answers from the module-level
+memos it has already filled (the die-cost LRU of
+``repro.wafer.diecache`` above all).  No evaluation state lives on
+:class:`ServiceState` or on its :class:`~repro.engine.costengine.
+CostEngine`, which keeps none; docs/SERVICE.md lists the module-level
+caches a request writes and why each is safe under concurrent writers.
 
-* **Every engine user takes ``state.lock``.**  Cost requests flow
-  through the :class:`~repro.service.batching.CostBatcher`, whose
-  single worker thread hands each batch to :class:`ServiceState`,
-  which takes the lock once per batch and prices each request with the
-  CLI's own :func:`evaluate_cost` — the reason batched results are
-  bit-identical to sequential evaluation.
-* **Scenario requests take ``state.lock``** for their whole run: they
-  share the same engine (scenario studies route through it), so they
-  serialize against each other and against cost batches.  A design-space
-  search is a scenario with one ``search`` study.
+* **Cost batches take ``state.lock``.**  Cost requests flow through
+  the :class:`~repro.service.batching.CostBatcher`, whose single
+  worker thread hands each batch to :class:`ServiceState`, which takes
+  the lock once per batch and prices each request with the CLI's own
+  :func:`evaluate_cost` — the reason batched results are bit-identical
+  to sequential evaluation.
+* **Scenario requests take the lock only to count themselves.**  A
+  study shares nothing with a cost batch but those thread-safe memos,
+  so a long study (or a slow reader of its NDJSON stream) never stalls
+  cost requests.  A design-space search is a scenario with one
+  ``search`` study.
 * **Registry reads** (``registry_payload`` / ``current_registry_hash``)
   recompute from the live global registries; the response cache
   compares hashes to invalidate itself when a registry mutates.
-
-:func:`~repro.explore.costquery.evaluate_cost` (re-exported here) is
-deliberately a function usable without any state: the CLI's ``repro
-cost`` calls it engine-less (the plain
-:func:`repro.core.re_cost.compute_re_cost` path), the service calls it
-with the warm engine — and the engine's bit-parity contract
-(``tests/test_engine.py``) makes both spellings return identical
-numbers.
 """
 
 from __future__ import annotations
@@ -45,12 +40,11 @@ from repro.service.schemas import (
 
 
 class ServiceState:
-    """Warm engine + registry snapshot behind a thread-safe façade."""
+    """Registry view, request counter and the cost-batch lock."""
 
     def __init__(self, engine: Any = None):
-        #: Serializes scenario runs and cost batches.  An RLock: a
-        #: scenario run may re-enter via nested state helpers.
-        self.lock = threading.RLock()
+        #: Serializes cost batches and guards ``requests_served``.
+        self.lock = threading.Lock()
         if engine is None:
             from repro.engine.costengine import CostEngine
 
@@ -72,7 +66,7 @@ class ServiceState:
             self.requests_served += len(requests)
             for request in requests:
                 try:
-                    outcomes.append(evaluate_cost(request, engine=self.engine))
+                    outcomes.append(evaluate_cost(request))
                 except Exception as error:  # noqa: BLE001
                     outcomes.append(error)
         return outcomes
@@ -91,22 +85,21 @@ class ServiceState:
         """Yield ``(spec, study summaries...)`` incrementally: first the
         selected spec (for stream headers), then one
         :class:`~repro.service.schemas.StudySummary` per completed
-        study.  The lock is held for the whole iteration and released
-        when the generator closes, even on early disconnect."""
+        study.  No lock is held while a study runs or while the caller
+        consumes an event, so cost batches proceed alongside."""
         from repro.scenario.runner import ScenarioRunner
 
         spec = request.selected_spec()
         yield spec
         with self.lock:
             self.requests_served += 1
-            runner = ScenarioRunner(engine=self.engine)
-            for study in runner.iter_run(spec):
-                yield StudySummary(
-                    name=study.name,
-                    kind=study.kind,
-                    text=study.text,
-                    rows=tuple(dict(row) for row in study.rows),
-                )
+        for study in ScenarioRunner(engine=self.engine).iter_run(spec):
+            yield StudySummary(
+                name=study.name,
+                kind=study.kind,
+                text=study.text,
+                rows=tuple(dict(row) for row in study.rows),
+            )
 
     # ------------------------------------------------------------------
 

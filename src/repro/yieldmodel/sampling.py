@@ -9,6 +9,7 @@ numpy at the core-model layer.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -32,10 +33,14 @@ class DefectDensityPrior:
     upper: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode < 0:
-            raise InvalidParameterError("mode must be >= 0")
-        if self.sigma < 0:
-            raise InvalidParameterError("sigma must be >= 0")
+        for name in ("mode", "sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"{name} must be a finite number, got {value}"
+                )
+            if not value >= 0:
+                raise InvalidParameterError(f"{name} must be >= 0")
         if (
             self.lower is not None
             and self.upper is not None
@@ -45,8 +50,6 @@ class DefectDensityPrior:
 
     def sample(self, rng: random.Random) -> float:
         """One draw from the prior."""
-        import math
-
         value = self.mode * math.exp(self.sigma * rng.gauss(0.0, 1.0))
         if self.lower is not None:
             value = max(value, self.lower)

@@ -1,11 +1,11 @@
 """Cache-staleness safety on arbitrary generated inputs.
 
-The engine's throughput comes from layered memoization — identity-keyed
-hot caches, value-keyed die-cost LRUs, per-(portfolio, override)
-decompositions.  The invariant: *no mutation of inputs, overrides or
-registries may ever surface a stale memoized cost.*  Every property
-warms a cache, changes something, and compares against a freshly
-computed oracle.
+The engine's throughput comes from memoization — the value-keyed
+die-cost LRU and per-(portfolio, override) decompositions.  The
+invariant: *no mutation of inputs, overrides or registries may ever
+surface a stale memoized cost.*  Every property warms a cache, changes
+something, and compares against a freshly computed oracle (priced
+under ``no_cache()`` where the cache is the die-cost LRU).
 """
 
 from hypothesis import given
@@ -15,6 +15,7 @@ from checks import assert_bit_equal, assert_sequences_equal
 from repro.config import ConfigRegistries
 from repro.core.re_cost import compute_re_cost
 from repro.engine.costengine import CostEngine
+from repro.wafer.diecache import no_cache
 from repro.engine.fastmc import sample_re_costs
 from repro.engine.fastportfolio import PortfolioDecomposition, PortfolioEngine
 from repro.explore.montecarlo import monte_carlo_cost_naive
@@ -26,13 +27,13 @@ from strategies import catalog_node_names, module_areas, portfolios, systems
 
 @given(first=systems(), second=systems())
 def test_warm_cache_never_serves_other_systems_cost(first, second):
-    engine = CostEngine()
-    engine.evaluate_re(first)  # warm
-    engine.evaluate_re(second)  # may collide in the hot cache
-    again = engine.evaluate_re(first)
+    compute_re_cost(first)  # warm
+    compute_re_cost(second)  # may collide in the die-cost cache
+    again = compute_re_cost(first)
+    with no_cache():
+        oracle = compute_re_cost(first)
     assert_bit_equal(
-        "CostEngine warm cache", "re_total",
-        again.total, compute_re_cost(first).total,
+        "die-cost warm cache", "re_total", again.total, oracle.total,
     )
 
 
@@ -43,30 +44,30 @@ def test_node_mutation_reprices(area, node, count, factor):
     """An evolved node (new defect density) must never reuse the old
     node's memoized die cost."""
     base = get_node(node)
-    engine = CostEngine()
     original = partition_monolith(area, base, count, mcm())
-    engine.evaluate_re(original)  # warm the die-cost caches
+    compute_re_cost(original)  # warm the die-cost cache
     evolved = base.with_defect_density(base.defect_density * factor)
     mutated = partition_monolith(area, evolved, count, mcm())
-    warm = engine.evaluate_re(mutated)
+    warm = compute_re_cost(mutated)
+    with no_cache():
+        oracle = compute_re_cost(mutated)
     assert_bit_equal(
-        "CostEngine node mutation", "re_total",
-        warm.total, compute_re_cost(mutated).total,
+        "die-cost node mutation", "re_total", warm.total, oracle.total,
     )
 
 
 @given(system=systems())
 def test_die_cost_override_switching_never_stale(system):
-    """fn1 -> fn2 -> None on the same warmed engine, each correct."""
+    """fn1 -> fn2 -> None on the same warmed cache, each correct."""
     registries = ConfigRegistries()
     fn1 = registries.die_cost_fn("poisson", "")
     fn2 = registries.die_cost_fn("murphy", "450mm")
-    engine = CostEngine()
     for override in (fn1, fn2, None, fn1):
-        warm = engine.evaluate_re(system, die_cost_fn=override)
-        oracle = compute_re_cost(system, die_cost_fn=override)
+        warm = compute_re_cost(system, die_cost_fn=override)
+        with no_cache():
+            oracle = compute_re_cost(system, die_cost_fn=override)
         assert_bit_equal(
-            "CostEngine override switching",
+            "die-cost override switching",
             f"re_total[{'default' if override is None else 'override'}]",
             warm.total, oracle.total,
         )
@@ -76,11 +77,11 @@ def test_die_cost_override_switching_never_stale(system):
 def test_portfolio_decomposition_cache_keyed_by_override(portfolio):
     registries = ConfigRegistries()
     fn1 = registries.die_cost_fn("poisson", "")
-    engine = PortfolioEngine(CostEngine())
+    engine = PortfolioEngine()
     for override in (None, fn1, None):
         batched = engine.evaluate(portfolio, die_cost_fn=override)
         fresh = PortfolioDecomposition(
-            portfolio, CostEngine(), die_cost_fn=override
+            portfolio, die_cost_fn=override
         ).evaluate()
         assert_sequences_equal(
             "PortfolioEngine override switching", "totals",
@@ -103,10 +104,9 @@ def test_mc_override_then_default_never_stale(system, draws, seed):
 
 @given(system=systems())
 def test_clear_caches_preserves_results(system):
-    engine = CostEngine()
-    before = engine.evaluate_re(system)
-    engine.clear_caches()
-    after = engine.evaluate_re(system)
+    before = compute_re_cost(system)
+    CostEngine().clear_caches()
+    after = compute_re_cost(system)
     assert_bit_equal(
         "CostEngine.clear_caches", "re_total", after.total, before.total
     )

@@ -28,6 +28,7 @@ from repro.process.catalog import get_node
 from repro.search import evaluate
 from repro.search.engine import run_search
 from repro.search.oracle import run_search_oracle
+from repro.wafer.diecache import no_cache
 from repro.yieldmodel.sampling import DefectDensityPrior
 from strategies import (
     TECHNOLOGIES,
@@ -121,19 +122,22 @@ def test_partition_sweep_soc_matches_oracle(area, node, scalar):
 
 @given(system=systems())
 def test_costengine_matches_compute_re_cost(system):
-    engine = CostEngine()
-    fast = engine.evaluate_re(system)
-    oracle = compute_re_cost(system)
+    """The engine prices a built system with ``compute_re_cost`` on the
+    shared die-cost memo; warm, it must equal the uncached call."""
+    compute_re_cost(system)  # warm
+    fast = compute_re_cost(system)
+    with no_cache():
+        oracle = compute_re_cost(system)
     for component in _RE_COMPONENTS:
         assert_bit_equal(
-            "CostEngine.evaluate_re", component,
+            "compute_re_cost (memoized)", component,
             getattr(fast, component), getattr(oracle, component),
         )
 
 
 @given(portfolio=portfolios())
 def test_fastportfolio_matches_portfolio_oracle(portfolio):
-    engine = PortfolioEngine(CostEngine())
+    engine = PortfolioEngine()
     batched = engine.evaluate(portfolio)
     for system, cost in zip(portfolio.systems, batched.costs):
         oracle = portfolio.amortized_cost(system)
@@ -155,7 +159,7 @@ def test_fastportfolio_matches_portfolio_oracle(portfolio):
        scales=st.lists(st.floats(min_value=0.1, max_value=10.0),
                        min_size=1, max_size=3))
 def test_fastportfolio_solve_matches_scalar_evaluate(portfolio, scales):
-    engine = PortfolioEngine(CostEngine())
+    engine = PortfolioEngine()
     decomposition = engine.decompose(portfolio)
     solve = decomposition.solve(scales)
     for index, scale in enumerate(solve.scales):
@@ -174,7 +178,7 @@ def test_fastportfolio_solve_matches_scalar_evaluate(portfolio, scales):
        scales=st.lists(st.floats(min_value=0.1, max_value=10.0),
                        min_size=1, max_size=3))
 def test_fastportfolio_scalar_fallback_matches_numpy(portfolio, scales):
-    decomposition = PortfolioEngine(CostEngine()).decompose(portfolio)
+    decomposition = PortfolioEngine().decompose(portfolio)
     vectorized = decomposition.solve(scales)
     saved, fastportfolio._np = fastportfolio._np, None
     try:

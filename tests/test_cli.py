@@ -350,3 +350,27 @@ def test_sweep_step_truncating_to_zero_is_clean_error(capsys, step):
     assert out == ""
     assert err.startswith("error: --step must be a whole number")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--start", "--stop", "--step"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sweep_non_finite_range_is_clean_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "sweep", f"{flag}={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be a finite number, got {value}\n"
+
+
+def test_montecarlo_nan_sigma_is_clean_error(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "montecarlo", "--area", "400", "--sigma", "nan"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: sigma must be a finite number, got nan\n"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "mc", "studies": [{
+        "kind": "montecarlo", "name": "mc", "module_area": 400.0,
+        "node": "5nm", "draws": 10, "sigma": float("nan"),
+    }]}))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert err == "error: sigma must be a finite number, got nan\n"

@@ -2,9 +2,9 @@
 
 The engine's contract is that every fast path is *numerically
 indistinguishable* from the naive path it replaces.  These tests hold
-the memoized die costs, the CostEngine evaluation, the closed-form
-partition sweeps and the closed-form Monte Carlo bit-equal (well inside
-the 1e-9 acceptance tolerance) to the object-building oracles across
+the memoized die costs, the closed-form partition sweeps and the
+closed-form Monte Carlo bit-equal (well inside the 1e-9 acceptance
+tolerance) to the object-building oracles across
 SoC, MCM, InFO, 2.5D, 3D and package-reuse systems, and verify that
 perturbed nodes never produce stale cache hits.
 """
@@ -27,7 +27,6 @@ from repro.engine import (
     CostEngine,
     cached_die_cost,
     clear_die_cost_cache,
-    default_engine,
     die_cost_cache_info,
     linearize_packaging,
     no_cache,
@@ -126,41 +125,36 @@ class TestDieCache:
 class TestEngineParity:
     @pytest.mark.parametrize("index", range(6))
     def test_evaluate_re_matches_naive(self, index):
+        """A built system is priced by ``compute_re_cost`` on the shared
+        die-cost memo: cold, then warm, both equal the uncached call."""
         system = _systems()[index]
-        engine = CostEngine()
-        naive = compute_re_cost(system)
-        # Twice: the first evaluation prices packaging directly, the
-        # second through the cached affine decomposition.
-        _assert_re_equal(engine.evaluate_re(system), naive)
-        _assert_re_equal(engine.evaluate_re(system), naive)
+        clear_die_cost_cache()
+        with no_cache():
+            naive = compute_re_cost(system)
+        _assert_re_equal(compute_re_cost(system), naive)
+        _assert_re_equal(compute_re_cost(system), naive)
 
-    def test_evaluate_many_serial_and_threaded(self):
-        """Batch evaluation is per-item ``evaluate_re`` in order (there is
-        no pool backend any more): naive-identical, and repeatable."""
-        systems = _systems()
-        engine = CostEngine()
-        first = [cost.total for cost in engine.evaluate_many(systems)]
-        again = [cost.total for cost in engine.evaluate_many(systems)]
-        assert first == again
-        assert first == [compute_re_cost(system).total for system in systems]
-
-    def test_threaded_pool_uses_calling_engine(self, n5):
-        """Batch evaluation runs on the calling engine: its hot caches
-        (and any subclass override) stay in play."""
-        engine = CostEngine()
-        engine.clear_caches()
-        systems = [soc_reference(area, n5) for area in (100.0, 200.0, 300.0)]
-        engine.evaluate_many(systems)
-        assert engine.cache_info()["die_hot_entries"] == 3
+    def test_engine_keeps_no_state(self):
+        """Die costs are memoized only in ``repro.wafer.diecache``."""
+        assert vars(CostEngine()) == {}
 
     def test_cache_info_and_clear(self, n5):
+        """``cache_info`` and ``clear_caches`` face the shared die-cost
+        memo, the one die-cost cache."""
         engine = CostEngine()
         engine.clear_caches()
-        engine.evaluate_re(soc_reference(256.0, n5))
-        info_before = engine.cache_info()
-        assert info_before["die_hot_entries"] == 1
+        assert engine.cache_info()["die_cost_currsize"] == 0
+        compute_re_cost(soc_reference(256.0, n5))
+        compute_re_cost(soc_reference(256.0, n5))
+        info = engine.cache_info()
+        assert info == {
+            "die_cost_hits": 1,
+            "die_cost_misses": 1,
+            "die_cost_currsize": 1,
+            "die_cost_maxsize": die_cost_cache_info().maxsize,
+        }
         engine.clear_caches()
-        assert engine.cache_info()["die_hot_entries"] == 0
+        assert engine.cache_info()["die_cost_currsize"] == 0
 
 
 class TestPackagingAffine:
@@ -379,10 +373,6 @@ class TestBatchFrontends:
             system_tornado([], build)
         with pytest.raises(InvalidParameterError):
             system_tornado(["x"], build, step=1.5)
-
-    def test_default_engine_is_shared(self):
-        assert default_engine() is default_engine()
-
 
 class TestBenchSmoke:
     def test_perf_bench_smoke_mode(self):

@@ -1,6 +1,7 @@
 """Die-pricing overrides at every engine entry point: a ``die_cost_fn``
-passed to the engine, the search or the portfolio engine prices exactly
-like the engine-free core path under the same closure."""
+passed to the partition engine, Monte-Carlo, the search or the
+portfolio engine prices exactly like the core path under the same
+closure."""
 
 import pytest
 
@@ -32,23 +33,11 @@ def system():
 class TestEngineEquivalence:
     """engine entry point under ``die_cost_fn`` == core path, bit for bit."""
 
-    def test_evaluate_re(self, system):
-        fn = _die_cost_fn()
-        priced = CostEngine().evaluate_re(system, die_cost_fn=fn)
-        assert priced == compute_re_cost(system, die_cost_fn=fn)
-        assert priced != CostEngine().evaluate_re(system)
-
     def test_monte_carlo(self, system):
         fn = _die_cost_fn()
         priced = monte_carlo_cost(system, draws=50, seed=3, die_cost_fn=fn)
         naive = monte_carlo_cost_naive(system, draws=50, seed=3, die_cost_fn=fn)
         assert priced.samples == naive.samples
-
-    def test_evaluate_many(self, system):
-        fn = _die_cost_fn()
-        systems = [system, soc_reference(400.0, get_node("7nm"))]
-        priced = CostEngine().evaluate_many(systems, die_cost_fn=fn)
-        assert priced == [compute_re_cost(s, die_cost_fn=fn) for s in systems]
 
     def test_sweep_and_grid(self):
         node = get_node("7nm")
@@ -134,7 +123,7 @@ class TestPortfolioEquivalence:
     def test_volume_solve(self):
         portfolio = self._portfolio()
         fn = _die_cost_fn()
-        engine = PortfolioEngine(CostEngine())
+        engine = PortfolioEngine()
         solve = engine.volume_solve(portfolio, [1.0, 2.0], die_cost_fn=fn)
         for index, scale in enumerate((1.0, 2.0)):
             costs = engine.evaluate(portfolio, scale, die_cost_fn=fn)
@@ -146,7 +135,7 @@ class TestPortfolioEquivalence:
     def test_evaluate(self):
         portfolio = self._portfolio()
         fn = _die_cost_fn()
-        costs = PortfolioEngine(CostEngine()).evaluate(
+        costs = PortfolioEngine().evaluate(
             portfolio, die_cost_fn=fn
         )
         for member, cost in zip(portfolio.systems, costs.costs):

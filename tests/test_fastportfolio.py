@@ -4,7 +4,6 @@ oversized FSMC sockets)."""
 
 import pytest
 
-from repro.engine.costengine import CostEngine
 from repro.engine.fastportfolio import PortfolioEngine
 from repro.core.system import multichip
 from repro.errors import InvalidParameterError
@@ -18,7 +17,7 @@ from repro.reuse.scms import SCMSConfig, build_scms
 
 @pytest.fixture
 def engine():
-    return PortfolioEngine(CostEngine())
+    return PortfolioEngine()
 
 
 def _assert_bit_identical(engine, portfolio):

@@ -9,7 +9,6 @@ from repro.config import ConfigRegistries
 from repro.core.module import Module
 from repro.core.system import chiplet, multichip
 from repro.d2d.overhead import FractionOverhead
-from repro.engine.costengine import CostEngine
 from repro.engine.fastportfolio import PortfolioEngine
 from repro.errors import InvalidParameterError
 from repro.packaging.mcm import mcm
@@ -24,7 +23,7 @@ SCALES = (0.25, 0.5, 1.0, 2.0, 7.3)
 
 @pytest.fixture
 def engine():
-    return PortfolioEngine(CostEngine())
+    return PortfolioEngine()
 
 
 def synthetic_portfolio(n_systems: int, n_designs: int = 6) -> Portfolio:
@@ -126,7 +125,7 @@ class TestFallbackAndValidation:
         portfolio = synthetic_portfolio(30)
         vector = engine.decompose(portfolio).solve(SCALES)
         request.getfixturevalue("no_numpy")
-        scalar = PortfolioEngine(CostEngine()).volume_solve(portfolio, SCALES)
+        scalar = PortfolioEngine().volume_solve(portfolio, SCALES)
         for index in range(len(SCALES)):
             assert scalar.point_totals(index) == vector.point_totals(index)
             assert scalar.point_average(index) == vector.point_average(index)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.re_cost import compute_re_cost
 from repro.core.total import compute_total_cost
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InvalidParameterError
 from repro.experiments import run_fig4, run_fig6
 from repro.experiments.common import multichip_integrations, reference_soc_re
 from repro.explore.partition import partition_monolith, soc_reference
@@ -182,6 +182,18 @@ def test_montecarlo_study_rejects_removed_method_selector():
             )
     parsed = scenario_from_dict(document).studies[0]
     assert "method" not in study_to_dict(parsed)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_montecarlo_study_rejects_non_finite_sigma(sigma):
+    """A NaN spread used to price every draw as ``nan``; it fails like
+    a negative one, with a typed error naming the field."""
+    document = {"name": "nan-sigma", "studies": [{
+        "kind": "montecarlo", "name": "mc", "module_area": 300.0,
+        "node": "7nm", "draws": 20, "sigma": sigma,
+    }]}
+    with pytest.raises(InvalidParameterError, match="sigma must be a finite"):
+        run_scenario(document)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.engine.costengine import CostEngine
 from repro.engine.fastportfolio import PortfolioEngine
 from repro.errors import ConfigError
 from repro.scenario import (
@@ -84,7 +83,7 @@ class TestRunner:
 
     def test_rows_match_direct_volume_solve(self, result):
         """Sink rows are bit-identical to a direct PortfolioEngine solve."""
-        engine = PortfolioEngine(CostEngine())
+        engine = PortfolioEngine()
         for variant, costs in result.data["costs"].items():
             solve = engine.volume_solve(costs.portfolio, SCALES)
             rows = [

@@ -355,6 +355,72 @@ class TestScenarioEndpoint:
         probe.join(timeout=10)
         assert not probe.is_alive() and acquired == [True]
 
+    def test_cost_answers_while_a_long_search_streams(
+        self, service, monkeypatch
+    ):
+        """A 2 M-candidate search streamed from one thread does not
+        stall a ``/v1/cost`` from another.  The search pauses at its
+        first block until the cost reply is in (10 s at most), so the
+        reply must arrive before the scenario's last event; and the
+        streamed rows equal an in-process run of the same document."""
+        from repro.scenario.runner import run_scenario
+        from repro.search.frontier import FrontierAccumulator
+
+        document = {"name": "long-search", "studies": [{
+            "kind": "search", "name": "space",
+            "module_areas": [100.0 + 0.01 * i for i in range(100_000)],
+            "nodes": ["5nm", "7nm"], "technologies": ["mcm", "info"],
+            "chiplet_counts": [2, 3, 4, 5, 6], "d2d_fractions": [0.1],
+            "top_k": 3,
+        }]}
+        searching, answered = threading.Event(), threading.Event()
+        add = FrontierAccumulator.add
+
+        def paused_add(self, scores, payloads):
+            if not searching.is_set():
+                searching.set()
+                answered.wait(timeout=10)
+            add(self, scores, payloads)
+
+        events: list[tuple[float, dict]] = []
+
+        def stream():
+            for event in service.scenario_events(document):
+                events.append((time.perf_counter(), event))
+
+        monkeypatch.setattr(FrontierAccumulator, "add", paused_add)
+        reader = threading.Thread(target=stream)
+        reader.start()
+        assert searching.wait(timeout=60)
+        request = CostRequest(area=777.25, node="5nm")
+        result = service.cost(request)
+        replied_at = time.perf_counter()
+        answered.set()
+        reader.join(timeout=120)
+        monkeypatch.undo()
+        assert not reader.is_alive()
+        assert result == evaluate_cost(request)
+        last_at, last = events[-1]
+        assert last["event"] == "end"
+        assert replied_at < last_at
+        oracle = run_scenario(document)
+        assert [e["row"] for _, e in events if e["event"] == "row"] == [
+            json.loads(json.dumps(dict(row)))
+            for study in oracle.results for row in study.rows
+        ]
+
+    def test_nan_sigma_400(self, service):
+        body = (b'{"scenario": {"name": "mc", "studies": [{"kind": '
+                b'"montecarlo", "name": "mc", "module_area": 400, '
+                b'"node": "5nm", "draws": 10, "sigma": NaN}]}}')
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_raw(service, "/v1/scenario", body)
+        error = json.loads(excinfo.value.read())["error"]
+        excinfo.value.close()
+        assert excinfo.value.code == 400
+        assert error["type"] == "InvalidParameterError"
+        assert error["message"] == "sigma must be a finite number, got nan"
+
     def test_bad_document_400(self, service):
         with pytest.raises(ServiceError) as excinfo:
             service.scenario({"name": "x", "studies": [{"kind": "nope"}]})

@@ -3,6 +3,9 @@ bit-identical to sequential evaluation, with no cross-talk between
 override sets, per-request error isolation and a bounded queue."""
 
 import concurrent.futures
+import json
+import os
+import sys
 import threading
 import time
 
@@ -175,6 +178,57 @@ class TestThreadedBatcher:
             assert second.result(timeout=30).system
         finally:
             batcher.close()
+
+
+class TestUnlockedScenarios:
+    def test_concurrent_scenarios_and_cost_batches_stay_exact(self):
+        """Scenarios run without the state lock, so studies and cost
+        batches fill the shared memos (die-cost LRU, node hashes, lazy
+        builders) from several threads at once.  Four scenario runs and
+        two cost batches on six threads, from a cold die-cost cache and
+        with a short switch interval, must each equal a sequential run,
+        and no ``requests_served`` update may be lost."""
+        from repro.scenario.runner import run_scenario
+        from repro.service.schemas import ScenarioRequest
+        from repro.wafer.diecache import clear_die_cost_cache
+
+        path = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "examples", "scenario_custom_tech.json",
+        )
+        with open(path) as handle:
+            document = json.load(handle)
+        expected = [
+            (study.text, tuple(dict(row) for row in study.rows))
+            for study in run_scenario(document).results
+        ]
+        requests = _workload()
+        oracle = [evaluate_cost(request) for request in requests]
+        scenario = ScenarioRequest.from_dict({"scenario": document})
+        state = ServiceState()
+        clear_die_cost_cache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(6) as pool:
+                runs = [
+                    pool.submit(state.run_scenario, scenario)
+                    for _ in range(4)
+                ]
+                batches = [
+                    pool.submit(state.evaluate_cost_batch, requests)
+                    for _ in range(2)
+                ]
+                results = [run.result(timeout=120) for run in runs]
+                priced = [batch.result(timeout=120) for batch in batches]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert [
+                (study.text, study.rows) for study in result.studies
+            ] == expected
+        assert priced == [oracle, oracle]
+        assert state.requests_served == 4 + 2 * len(requests)
 
 
 class TestResponseCacheIsolation:

@@ -51,6 +51,20 @@ def test_negative_mode_rejected():
         DefectDensityPrior(mode=-0.1)
 
 
+@pytest.mark.parametrize("field", ["mode", "sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_parameters_rejected(field, value):
+    """NaN passes ``x < 0``; the prior must still refuse it."""
+    arguments = {"mode": 0.09, field: value}
+    with pytest.raises(InvalidParameterError, match=f"{field} must be a finite"):
+        DefectDensityPrior(**arguments)
+
+
+def test_negative_sigma_rejected():
+    with pytest.raises(InvalidParameterError, match="sigma must be >= 0"):
+        DefectDensityPrior(mode=0.09, sigma=-0.1)
+
+
 def test_zero_draws_rejected():
     with pytest.raises(InvalidParameterError):
         sample_yields(DefectDensityPrior(0.09), 10.0, 500.0, draws=0)

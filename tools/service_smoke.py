@@ -13,7 +13,10 @@ The service contract under test (docs/SERVICE.md):
 4. an identical repeat request is served from the response cache;
 5. ``POST /v1/scenario`` matches ``python -m repro run`` for the same
    document, and the streaming variant delivers the same studies;
-6. the server shuts down cleanly on SIGINT.
+6. a ``POST /v1/cost`` is answered while a streamed multi-million
+   candidate search is still running (a study never stalls cost
+   requests);
+7. the server shuts down cleanly on SIGINT.
 
 Run from the repo root: ``PYTHONPATH=src python tools/service_smoke.py``.
 """
@@ -26,6 +29,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,6 +62,19 @@ SCENARIO = {
             "chiplet_counts": [1, 2, 3],
         }
     ],
+}
+
+#: A one-study search of 2 M candidates: long enough (about a second)
+#: that a cost request sent once its stream opens lands mid-search.
+LONG_SEARCH = {
+    "name": "service-smoke-long-search",
+    "studies": [{
+        "kind": "search", "name": "space",
+        "module_areas": [100.0 + 0.01 * i for i in range(100_000)],
+        "nodes": ["5nm", "7nm"], "technologies": ["mcm", "info"],
+        "chiplet_counts": [2, 3, 4, 5, 6], "d2d_fractions": [0.1],
+        "top_k": 3,
+    }],
 }
 
 CHECKS: list[str] = []
@@ -107,6 +124,41 @@ def start_server() -> tuple[subprocess.Popen, str]:
     return process, line.removeprefix("serving on ")
 
 
+def check_cost_during_search(client) -> None:
+    """Stream :data:`LONG_SEARCH` from one thread; once its header
+    arrives, price three new design points from this one, 50 ms apart.
+    Every reply must come before the search's study event."""
+    from repro.explore.costquery import CostRequest, evaluate_cost
+
+    arrivals: list[tuple[float, str]] = []
+    opened = threading.Event()
+
+    def stream() -> None:
+        for event in client.scenario_events(LONG_SEARCH):
+            arrivals.append((time.perf_counter(), event["event"]))
+            opened.set()
+
+    reader = threading.Thread(target=stream, daemon=True)
+    reader.start()
+    check(opened.wait(timeout=60), "long search stream opens")
+    replies = []
+    for index in range(3):
+        time.sleep(0.05 * bool(index))
+        request = CostRequest(area=777.25 + index, node="5nm")
+        sent = time.perf_counter()
+        result = client.cost(request)
+        replies.append((result == evaluate_cost(request),
+                        time.perf_counter(), time.perf_counter() - sent))
+    reader.join(timeout=300)
+    check(not reader.is_alive() and arrivals[-1][1] == "end",
+          "long search stream ends")
+    study_at = next(at for at, kind in arrivals if kind == "study")
+    waits = ", ".join(f"{wait * 1e3:.1f}" for _, _, wait in replies)
+    check(all(equal and replied < study_at for equal, replied, _ in replies),
+          f"/v1/cost answered mid-search ({waits} ms; search ran "
+          f"{(study_at - arrivals[0][0]) * 1e3:.0f} ms)")
+
+
 def main() -> int:
     from repro.service.client import ServiceClient
     from repro.explore.costquery import CostResult, cost_table
@@ -154,6 +206,8 @@ def main() -> int:
         streamed = [e["text"] for e in events if e["event"] == "study"]
         check(streamed == [s.text for s in result.studies],
               "streamed studies identical to the buffered response")
+
+        check_cost_during_search(client)
 
         server.send_signal(signal.SIGINT)
         check(server.wait(timeout=30) == 0, "SIGINT shuts the server down")
